@@ -55,7 +55,10 @@ def _load_graph(args):
     if args.dataset:
         return load_dataset(args.dataset), args.dataset
     if args.input:
-        return read_edge_list(args.input), args.input
+        try:
+            return read_edge_list(args.input), args.input
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"error: {exc}") from None
     raise SystemExit("provide --input FILE or --dataset NAME")
 
 

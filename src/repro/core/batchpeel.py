@@ -27,6 +27,12 @@ that possible (full rules in docs/cost-model.md):
   by any aggregator probe addresses --- and replays it through
   :meth:`~repro.parallel.runtime.CostTracker.access_sequence`.
 
+Each round runs in two halves: :func:`rediscover_round` (decode,
+intersect, s-clique expansion, probe, classify) and the single-node apply
+step in :func:`_run_round`.  The sharded driver's batch local round
+(:mod:`repro.distributed.batchpeel`) calls the first half unchanged and
+swaps only the apply step.
+
 The engine requires plain ndarray peeling state, so
 :func:`~repro.core.decomp.arb_nucleus_decomp` falls back to the scalar
 oracle when a race detector is attached (shadow arrays and per-task
@@ -37,6 +43,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,16 +81,23 @@ PARLINT_PARITY = {
             "add_work_int": 1,
         },
     },
-    "_run_round": {
-        "oracle": "repro.core.decomp._update_one",
+    "rediscover_round": {
+        "oracle": "repro.core.decomp._rediscover",
         "fingerprint": {
-            "access_sequence": 2,
+            "access_sequence": 1,
             "add_cliques": 1,
             "add_probes": 1,
             "add_work_int": 3,
             "expand_cliques": 1,
             "intersect_many": 1,
             "rec_list_cliques": 1,
+        },
+    },
+    "_run_round": {
+        "oracle": "repro.core.decomp._update_one",
+        "fingerprint": {
+            "access_sequence": 1,
+            "rediscover_round": 1,
         },
     },
 }
@@ -175,10 +189,41 @@ def _edges_alive_many(pairs, table, status, tracker, cache_on) -> np.ndarray:
     return status[cells] != _PEELED
 
 
-def _run_round(peel_cells, comb_cols, dg, working, table, aggregator,
-               status, last_round, round_id, fractional, cache_on, threads,
-               r, s, tracker, listing_batch: bool = False) -> None:
-    """One round's worth of UPDATE calls, batched (Algorithm 2 lines 13-18)."""
+class ClassifiedRound(NamedTuple):
+    """One round's rediscovered s-cliques, classified and ready to apply.
+
+    ``update_cells`` lists the ALIVE sub-clique cells of every applying
+    s-clique row in row-major order --- the order the scalar loop issues
+    its updates --- and ``update_row_of`` the row each came from.  Each
+    update subtracts ``1 / row_share`` of its row (the ``share`` of
+    :func:`repro.core.decomp._rediscover`).
+    ``probe_flat`` / ``probe_lens`` (per row) and ``dec_addrs`` /
+    ``dec_lens`` (per task) carry the address segments a cache replay
+    needs; they are empty unless the round ran with ``cache_on``.
+    """
+
+    update_cells: np.ndarray
+    update_row_of: np.ndarray
+    row_share: np.ndarray
+    row_task: np.ndarray
+    probe_flat: np.ndarray
+    probe_lens: np.ndarray
+    dec_addrs: np.ndarray
+    dec_lens: np.ndarray
+
+
+def rediscover_round(peel_cells, comb_cols, dg, working, table, status,
+                     fractional, cache_on, r, s, tracker,
+                     listing_batch: bool = False) -> ClassifiedRound | None:
+    """UPDATE's rediscover-and-classify half for a whole round, batched.
+
+    Decodes every peeled cell, rediscovers the incident s-cliques, probes
+    each one's r-subsets and applies the status walk plus the update rule
+    of :func:`repro.core.decomp._rediscover`, charging exactly what the
+    scalar loop would.  Returns ``None`` when no s-clique was found (the
+    decode addresses are then already replayed); the apply step is the
+    caller's.
+    """
     n_tasks = peel_cells.size
     cliques, dec_addrs, dec_lens = table.decode_many(
         peel_cells, collect_addresses=cache_on)
@@ -240,7 +285,7 @@ def _run_round(peel_cells, comb_cols, dg, working, table, aggregator,
     if n_rows == 0:
         if cache_on:
             tracker.access_sequence(dec_addrs)
-        return
+        return None
 
     # -- probe every sub-clique until the scalar loop would stop (first
     # PEELED), charging the per-subset route + probe costs in bulk.
@@ -269,7 +314,7 @@ def _run_round(peel_cells, comb_cols, dg, working, table, aggregator,
     n_peeling = peeling_mask.sum(axis=1)
     if fractional:
         apply_row = survivors & alive_mask.any(axis=1)
-        row_delta = -1.0 / np.maximum(n_peeling, 1)
+        row_share = np.maximum(n_peeling, 1)
     else:
         # Representative mode: only the s-clique whose *base* r-clique is
         # the least peeling sub-clique subtracts; min() over subset tuples
@@ -281,13 +326,39 @@ def _run_round(peel_cells, comb_cols, dg, working, table, aggregator,
         base_sorted = np.sort(rows[:, :r], axis=1)
         apply_row = survivors & alive_mask.any(axis=1) \
             & (representative == base_sorted).all(axis=1)
-        row_delta = np.full(n_rows, -1.0)
+        row_share = np.ones(n_rows, dtype=np.int64)
 
     update_rows = np.flatnonzero(apply_row)
     alive_sel = alive_mask[update_rows]
     update_cells = cells[update_rows][alive_sel]  # row-major: scalar order
     update_row_of = np.repeat(update_rows, alive_sel.sum(axis=1))
+    if cache_on:
+        block = np.concatenate(
+            [route_addrs_flat.reshape(n_rows, n_combs, route_len),
+             slot_addrs_flat.reshape(n_rows, n_combs, 1)], axis=2)
+        probe_flat = block[probed_mask].reshape(-1).astype(np.int64)
+        probe_lens = probed_count * (route_len + 1)
+    else:
+        probe_flat = probe_lens = np.empty(0, dtype=np.int64)
+    return ClassifiedRound(update_cells, update_row_of, row_share, row_task,
+                           probe_flat, probe_lens, dec_addrs, dec_lens)
+
+
+def _run_round(peel_cells, comb_cols, dg, working, table, aggregator,
+               status, last_round, round_id, fractional, cache_on, threads,
+               r, s, tracker, listing_batch: bool = False) -> None:
+    """One round's worth of UPDATE calls, batched (Algorithm 2 lines 13-18):
+    :func:`rediscover_round`, then the single-node apply step."""
+    classified = rediscover_round(peel_cells, comb_cols, dg, working,
+                                  table, status, fractional, cache_on, r,
+                                  s, tracker, listing_batch)
+    if classified is None:
+        return
+    update_cells = classified.update_cells
+    update_row_of = classified.update_row_of
+    row_task = classified.row_task
     n_updates = update_cells.size
+    row_delta = -1.0 / classified.row_share
     # PAR010 waiver: row_delta (-1/n_peeling) is the batch replay of the
     # scalar engine's fractional delta --- order-dependent in float
     # arithmetic, but np.add.at applies it in fixed row-major order and
@@ -319,11 +390,7 @@ def _run_round(peel_cells, comb_cols, dg, working, table, aggregator,
     # addresses, then per discovered s-clique the probed subsets' route +
     # slot addresses, then per applied update the count-cell address
     # followed by the aggregator's captured probe addresses.
-    block = np.concatenate(
-        [route_addrs_flat.reshape(n_rows, n_combs, route_len),
-         slot_addrs_flat.reshape(n_rows, n_combs, 1)], axis=2)
-    probe_flat = block[probed_mask].reshape(-1).astype(np.int64)
-    probe_lens = probed_count * (route_len + 1)
+    n_rows = row_task.size
     if n_updates:
         if sink is not None:
             agg_lens = np.zeros(n_updates, dtype=np.int64)
@@ -345,10 +412,12 @@ def _run_round(peel_cells, comb_cols, dg, working, table, aggregator,
     else:
         update_flat = np.empty(0, dtype=np.int64)
         row_update_lens = np.zeros(n_rows, dtype=np.int64)
-    row_flat = interleave_segments(probe_flat, probe_lens,
-                                   update_flat, row_update_lens)
-    task_row_lens = np.zeros(n_tasks, dtype=np.int64)
-    np.add.at(task_row_lens, row_task, probe_lens + row_update_lens)
+    row_flat = interleave_segments(classified.probe_flat,
+                                   classified.probe_lens, update_flat,
+                                   row_update_lens)
+    task_row_lens = np.zeros(peel_cells.size, dtype=np.int64)
+    np.add.at(task_row_lens, row_task,
+              classified.probe_lens + row_update_lens)
     tracker.access_sequence(
-        interleave_segments(dec_addrs.astype(np.int64), dec_lens,
-                            row_flat, task_row_lens))
+        interleave_segments(classified.dec_addrs.astype(np.int64),
+                            classified.dec_lens, row_flat, task_row_lens))

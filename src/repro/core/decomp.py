@@ -46,12 +46,47 @@ from .tables import CliqueTable
 _ALIVE, _PEELING, _PEELED = 0, 1, 2
 
 
+class CoreReport:
+    """Core-number reporting shared by every decomposition result.
+
+    Reads the result's ``_cells`` (occupied cells, ascending), ``_cores``
+    (their core numbers), ``_table`` and ``_original_of``; cliques are
+    reported in *original* vertex ids, ascending within each clique.  The
+    table's tracker is detached once a run finishes, so none of these
+    queries charges the simulated machine.
+    """
+
+    def as_dict(self) -> dict[tuple[int, ...], int]:
+        """Map every r-clique to its (r,s)-clique-core number."""
+        cliques, _, _ = self._table.decode_many(self._cells)
+        original = np.sort(self._original_of[cliques], axis=1)
+        return dict(zip(map(tuple, original.tolist()),
+                        self._cores.tolist()))
+
+    def core_of(self, clique) -> int:
+        """Core number of one r-clique given in original vertex ids."""
+        rank = np.empty_like(self._original_of)
+        rank[self._original_of] = np.arange(self._original_of.size)
+        working = tuple(sorted(int(rank[v]) for v in clique))
+        cell = self._table.cell_of(working)
+        if cell < 0:
+            raise KeyError(f"{tuple(clique)} is not an {self.r}-clique")
+        position = np.searchsorted(self._cells, cell)
+        return int(self._cores[position])
+
+    def core_histogram(self) -> dict[int, int]:
+        """Number of r-cliques at each core value."""
+        values, counts = np.unique(self._cores, return_counts=True)
+        return {int(v): int(c) for v, c in zip(values, counts)}
+
+
 @dataclass
-class NucleusResult:
+class NucleusResult(CoreReport):
     """Output of one nucleus decomposition run.
 
-    ``core_of`` / ``as_dict`` report cliques in *original* vertex ids
-    (ascending within each clique), regardless of relabeling.
+    ``core_of`` / ``as_dict`` (from :class:`CoreReport`) report cliques in
+    *original* vertex ids (ascending within each clique), regardless of
+    relabeling.
     """
 
     r: int
@@ -69,31 +104,6 @@ class NucleusResult:
     _cores: np.ndarray = field(repr=False, default=None)
     _table: CliqueTable = field(repr=False, default=None)
     _original_of: np.ndarray = field(repr=False, default=None)
-
-    def as_dict(self) -> dict[tuple[int, ...], int]:
-        """Map every r-clique to its (r,s)-clique-core number."""
-        out = {}
-        for cell, core in zip(self._cells, self._cores):
-            clique = self._table.decode(int(cell))
-            original = tuple(sorted(int(self._original_of[v]) for v in clique))
-            out[original] = int(core)
-        return out
-
-    def core_of(self, clique) -> int:
-        """Core number of one r-clique given in original vertex ids."""
-        rank = np.empty_like(self._original_of)
-        rank[self._original_of] = np.arange(self._original_of.size)
-        working = tuple(sorted(int(rank[v]) for v in clique))
-        cell = self._table.cell_of(working)
-        if cell < 0:
-            raise KeyError(f"{tuple(clique)} is not an {self.r}-clique")
-        position = np.searchsorted(self._cells, cell)
-        return int(self._cores[position])
-
-    def core_histogram(self) -> dict[int, int]:
-        """Number of r-cliques at each core value."""
-        values, counts = np.unique(self._cores, return_counts=True)
-        return {int(v): int(c) for v, c in zip(values, counts)}
 
 
 @dataclass
@@ -373,6 +383,42 @@ def _update_one(table: CliqueTable, dg: DirectedGraph, working: WorkingGraph,
                 thread: int, fractional: bool,
                 tracker: CostTracker) -> None:
     """UPDATE for one peeled r-clique (Algorithm 2, lines 13-18)."""
+
+    def apply(alive_cells: list, share: int) -> None:
+        delta = -1.0 / share
+        # PAR010 waiver: the fractional delta (-1/a) makes the atomic
+        # accumulation order-dependent in float arithmetic, but every
+        # consumer re-rounds (np.rint at the bucket update and at result
+        # extraction), and the fractional-vs-exact agreement gate in
+        # tests/test_decomp.py pins the re-rounded totals; interleaving
+        # noise cannot reach a reported number.
+        for cell in alive_cells:
+            table.add_count_at(cell, delta)  # parlint: disable=PAR010
+            if last_round[cell] != round_id:
+                last_round[cell] = round_id
+                aggregator.record(int(cell), thread)
+
+    _rediscover(table, dg, working, clique, r, s, status, fractional, apply,
+                tracker)
+
+
+def _rediscover(table: CliqueTable, dg: DirectedGraph, working: WorkingGraph,
+                clique: tuple, r: int, s: int, status: np.ndarray,
+                fractional: bool, apply, tracker: CostTracker) -> None:
+    """UPDATE's rediscover-and-classify half for one peeled r-clique.
+
+    Re-lists the s-cliques incident to ``clique`` (Algorithm 2, lines
+    13-17) and runs UPDATE-FUNC's status walk on each (lines 5-11): an
+    s-clique with a PEELED r-subset was already handled in an earlier
+    round, one without an ALIVE r-subset has nothing to update.  The
+    rest call ``apply(alive_cells, share)`` --- the driver-specific half:
+    count updates plus aggregation on one node, ownership routing across
+    shards --- where each ALIVE cell loses ``1 / share``: ``share`` is
+    the number of PEELING r-subsets in fractional arithmetic, and 1 in
+    representative arithmetic, where only the s-clique's least PEELING
+    subset applies.  The scalar oracle of
+    :func:`repro.core.batchpeel.rediscover_round`.
+    """
     if r == 1:
         candidates = working.neighbors(clique[0])
         tracker.add_work(1.0)
@@ -382,50 +428,27 @@ def _update_one(table: CliqueTable, dg: DirectedGraph, working: WorkingGraph,
     if candidates.size < s - r:
         return
 
-    def update_func(s_clique):
-        _update_func(table, s_clique, r, status, last_round, round_id,
-                     aggregator, thread, fractional, tracker)
-
-    rec_list_cliques(dg, candidates, s - r, clique, update_func, tracker)
-
-
-def _update_func(table: CliqueTable, s_clique: tuple, r: int,
-                 status: np.ndarray, last_round: np.ndarray, round_id: int,
-                 aggregator, thread: int, fractional: bool,
-                 tracker: CostTracker) -> None:
-    """UPDATE-FUNC (Algorithm 2, lines 5-12) for one discovered s-clique."""
-    ordered = tuple(sorted(s_clique))
-    tracker.add_work(float(len(s_clique)))
-    alive_cells = []
-    peeling = []
-    for subset in combinations(ordered, r):
-        cell = table.cell_of(subset)
-        state = status[cell]
-        if state == _PEELED:
-            return  # an r-clique of this s-clique was peeled earlier
-        if state == _PEELING:
-            peeling.append(subset)
-        else:
-            alive_cells.append(cell)
-    if not alive_cells:
-        return
-    a = len(peeling)
-    if fractional:
-        delta = -1.0 / a
-    else:
+    def classify(s_clique):
+        ordered = tuple(sorted(s_clique))
+        tracker.add_work(float(len(s_clique)))
+        alive_cells = []
+        peeling = []
+        for subset in combinations(ordered, r):
+            cell = table.cell_of(subset)
+            state = status[cell]
+            if state == _PEELED:
+                return  # an r-clique of this s-clique was peeled earlier
+            if state == _PEELING:
+                peeling.append(subset)
+            else:
+                alive_cells.append(cell)
+        if not alive_cells:
+            return
+        if fractional:
+            apply(alive_cells, len(peeling))
         # Exact-integer mode: only the least peeling subset subtracts 1;
         # the recursion passes the peeled r-clique as the s-clique's prefix.
-        if tuple(sorted(s_clique[:r])) != min(peeling):
-            return
-        delta = -1.0
-    # PAR010 waiver: the fractional delta (-1/a) makes the atomic
-    # accumulation order-dependent in float arithmetic, but every consumer
-    # re-rounds (np.rint at the bucket update and at result extraction), and
-    # the fractional-vs-exact agreement gate in tests/test_decomp.py pins
-    # the re-rounded totals; interleaving noise cannot reach a reported
-    # number.
-    for cell in alive_cells:
-        table.add_count_at(cell, delta)  # parlint: disable=PAR010
-        if last_round[cell] != round_id:
-            last_round[cell] = round_id
-            aggregator.record(int(cell), thread)
+        elif tuple(sorted(s_clique[:r])) == min(peeling):
+            apply(alive_cells, 1)
+
+    rec_list_cliques(dg, candidates, s - r, clique, classify, tracker)

@@ -62,7 +62,10 @@ def k_clique_densest(graph: CSRGraph, k: int,
     if listing_engine == "batch" and tracker.race_detector is not None:
         listing_engine = "scalar"
     cores = np.zeros(graph.n, dtype=np.int64)
-    for (v,), value in result.as_dict().items():
+    # PAR008 waiver: as_dict() decodes through the clique table, whose
+    # tracker arb_nucleus_decomp has already detached, so it charges
+    # nothing at run time.
+    for (v,), value in result.as_dict().items():  # parlint: disable=PAR008
         cores[v] = value
     # Peeling order: ascending core, ties by id; suffixes are candidate
     # subgraphs.  Evaluate each distinct core threshold.

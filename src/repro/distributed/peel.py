@@ -23,9 +23,10 @@ resulting core numbers are **bit-for-bit identical** to the single-node
 in tests/test_distributed.py pins this on every graph/(r,s)/shard-count
 combination it runs.
 
-:func:`_exchange_scalar` is the exchange oracle; the vectorized
-:func:`repro.distributed.batchexchange.exchange_batch` kernel must match
-it charge-for-charge on every tracker (``PARLINT_PARITY``).
+:func:`_local_round` and :func:`_exchange_scalar` are the scalar oracles;
+the vectorized :func:`repro.distributed.batchpeel.local_round_batch` and
+:func:`repro.distributed.batchexchange.exchange_batch` kernels must match
+them charge-for-charge on every tracker (``PARLINT_PARITY``).
 """
 
 from __future__ import annotations
@@ -37,23 +38,23 @@ from itertools import combinations
 import numpy as np
 
 from ..bucketing import make_bucketing
-from ..cliques.listing import rec_list_cliques
 from ..core.config import NucleusConfig
-from ..core.decomp import _PEELED, _PEELING, prepare_decomposition
+from ..core.decomp import (_PEELED, _PEELING, CoreReport, _rediscover,
+                           prepare_decomposition)
 from ..core.tables import CliqueTable
 from ..graph.contraction import WorkingGraph
 from ..graph.csr import CSRGraph
 from ..observe.trace import TraceRecorder
-from ..parallel.primitives import intersect_many
 from ..parallel.runtime import CostTracker, _log2
 from ..sanitize.racecheck import maybe_shadow
 from .batchexchange import exchange_batch
+from .batchpeel import ExchangeBuffer, UpdateLedger, local_round_batch
 from .model import ENTRY_BYTES
 from .partition import PARTITIONERS, Partition
 
 
 @dataclass
-class ShardedResult:
+class ShardedResult(CoreReport):
     """Output of one sharded nucleus decomposition run.
 
     Core numbers (``as_dict`` / ``core_of``) are reported exactly like
@@ -90,87 +91,6 @@ class ShardedResult:
     _cores: np.ndarray = field(repr=False, default=None)
     _table: CliqueTable = field(repr=False, default=None)
     _original_of: np.ndarray = field(repr=False, default=None)
-
-    def as_dict(self) -> dict[tuple[int, ...], int]:
-        """Map every r-clique to its (r,s)-clique-core number."""
-        out = {}
-        for cell, core in zip(self._cells, self._cores):
-            clique = self._table.decode(int(cell))
-            original = tuple(sorted(int(self._original_of[v]) for v in clique))
-            out[original] = int(core)
-        return out
-
-    def core_histogram(self) -> dict[int, int]:
-        """Number of r-cliques at each core value."""
-        values, counts = np.unique(self._cores, return_counts=True)
-        return {int(v): int(c) for v, c in zip(values, counts)}
-
-
-class UpdateLedger:
-    """The owner-side count store plus the per-round updated set ``U``.
-
-    ``counts`` aliases the clique table's raw count array, so applying a
-    delta here is applying it to the table.  ``fetch_sub`` simulates the
-    owning shard's atomic fetch-and-subtract combined with a first-touch
-    stamp (the same CAS pattern as the single-node ``last_round`` array)
-    so each cell enters ``U`` at most once per super-round.
-    """
-
-    def __init__(self, counts: np.ndarray):
-        self.counts = counts
-        self.stamp = np.full(counts.shape[0], -1, dtype=np.int64)
-        self.updated: list[int] = []
-        self.round_id = -1
-
-    def begin_round(self, round_id: int) -> None:
-        self.round_id = round_id
-        self.updated = []
-
-    def fetch_sub(self, cell: int, amount: int, tracker: CostTracker) -> None:
-        tracker.add_work_int(1)
-        tracker.add_atomic(1)
-        self.counts[cell] -= amount
-        if self.stamp[cell] != self.round_id:
-            self.stamp[cell] = self.round_id
-            self.updated.append(int(cell))
-
-
-class ExchangeBuffer:
-    """One shard's outbox of cross-shard count decrements.
-
-    Decrements for the same remote cell coalesce locally (``pending``
-    accumulates, ``touched`` records each cell once per round), so the
-    wire carries one entry per distinct remote cell --- the batching that
-    amortizes the per-message latency.
-    """
-
-    def __init__(self, n_cells: int):
-        self.pending = np.zeros(n_cells, dtype=np.int64)
-        self.touched: list[int] = []
-        self.stamp = np.full(n_cells, -1, dtype=np.int64)
-        self.round_id = -1
-
-    def begin_round(self, round_id: int) -> None:
-        self.round_id = round_id
-
-    def buffer_remote(self, cell: int, tracker: CostTracker) -> None:
-        tracker.add_work_int(1)
-        tracker.add_atomic(1)
-        self.pending[cell] += 1
-        if self.stamp[cell] != self.round_id:
-            self.stamp[cell] = self.round_id
-            self.touched.append(int(cell))
-
-    def drain(self) -> tuple[np.ndarray, np.ndarray]:
-        """Pop the buffered (cells, deltas), clearing the outbox."""
-        cells = np.asarray(self.touched, dtype=np.int64)
-        if cells.size:
-            deltas = self.pending[cells].copy()
-            self.pending[cells] = 0
-        else:
-            deltas = np.zeros(0, dtype=np.int64)
-        self.touched = []
-        return cells, deltas
 
 
 def _exchange_scalar(cells, deltas, owner_of, ledger, dst_trackers,
@@ -221,77 +141,35 @@ def _exchange_scalar(cells, deltas, owner_of, ledger, dst_trackers,
     return messages, total_bytes
 
 
-def _update_sharded_func(shard: int, s_clique: tuple, r: int, table,
-                         status, owner_of, ledger, outbox,
-                         tracker: CostTracker) -> None:
-    """UPDATE-FUNC for one discovered s-clique, ownership-routed.
-
-    Mirrors the single-node :func:`repro.core.decomp._update_func` in
-    "representative" arithmetic: the same status walk and the same
-    least-peeling-subset rule, but the surviving decrements route by cell
-    owner --- owned cells apply through the ledger, remote cells buffer
-    into the shard's outbox for the next exchange.
-    """
-    ordered = tuple(sorted(s_clique))
-    tracker.add_work(float(len(s_clique)))
-    alive_cells = []
-    peeling = []
-    for subset in combinations(ordered, r):
-        cell = table.cell_of(subset)
-        state = status[cell]
-        if state == _PEELED:
-            return  # an r-clique of this s-clique was peeled earlier
-        if state == _PEELING:
-            peeling.append(subset)
-        else:
-            alive_cells.append(cell)
-    if not alive_cells:
-        return
-    # Representative rule: only the least peeling subset subtracts 1, so
-    # the deltas are exact integers and the cross-shard application order
-    # cannot perturb the floating-point sums (bit-for-bit oracle parity).
-    if tuple(sorted(s_clique[:r])) != min(peeling):
-        return
-    for cell in alive_cells:
-        if owner_of[cell] == shard:
-            ledger.fetch_sub(cell, 1, tracker)
-        else:
-            outbox.buffer_remote(cell, tracker)
-
-
-def _update_one_sharded(shard: int, clique: tuple, r: int, s: int, table,
-                        dg, working, status, owner_of, ledger, outbox,
-                        tracker: CostTracker) -> None:
-    """UPDATE for one peeled r-clique owned by ``shard``."""
-    if r == 1:
-        candidates = working.neighbors(clique[0])
-        tracker.add_work(1.0)
-    else:
-        candidates = intersect_many(
-            [working.neighbors(v) for v in clique], tracker)
-    if candidates.size < s - r:
-        return
-
-    def update_func(s_clique):
-        _update_sharded_func(shard, s_clique, r, table, status, owner_of,
-                             ledger, outbox, tracker)
-
-    rec_list_cliques(dg, candidates, s - r, clique, update_func, tracker)
-
-
 def _local_round(shard: int, mine: np.ndarray, r: int, s: int, graph_n: int,
                  table, dg, working, status, owner_of, ledger, outbox,
                  tracker: CostTracker) -> None:
-    """One shard's local peel work for one super-round."""
+    """One shard's local peel work for one super-round.
+
+    The scalar oracle of
+    :func:`repro.distributed.batchpeel.local_round_batch`: per peeled
+    r-clique the shared rediscover-and-classify walk
+    (:func:`repro.core.decomp._rediscover`, "representative" arithmetic),
+    with the surviving decrements routed by cell owner --- owned cells
+    apply through the ledger, remote cells buffer into the shard's outbox
+    for the next exchange.
+    """
+
+    def route(alive_cells: list, _share: int) -> None:
+        for cell in alive_cells:
+            if owner_of[cell] == shard:
+                ledger.fetch_sub(cell, 1, tracker)
+            else:
+                outbox.buffer_remote(cell, tracker)
+
     with tracker.phase("local_peel"):
         tracker.add_round()
         with tracker.parallel(int(mine.size)) as region:
             for cell in mine:
                 with region.task():
                     clique = table.decode(int(cell))
-                    _update_one_sharded(shard, clique, r, s, table, dg,
-                                        working, status, owner_of, ledger,
-                                        outbox, tracker)
+                    _rediscover(table, dg, working, clique, r, s, status,
+                                False, route, tracker)
                     # One O(log n) intersection per completion level.
                     tracker.add_span(_log2(graph_n) * (s - r + 1))
 
@@ -323,11 +201,12 @@ def _exchange_round(sts, outboxes, owner_of, ledger,
 
 
 def _peel_sharded(graph_n: int, dg, working, table, buckets, ledger,
-                  outboxes, status, cores, owner_of, sts, config,
+                  outboxes, status, cores, owner_of, sts,
                   tracker: CostTracker, n_r: int, r: int, s: int,
-                  exchange_engine: str):
+                  engine: str, listing_batch: bool, exchange_engine: str):
     """The BSP super-round loop (the sharded Algorithm 2, lines 23-29)."""
     n_shards = len(sts)
+    comb_cols = np.asarray(list(combinations(range(s), r)), dtype=np.int64)
     finished = 0
     rho = 0
     round_id = 0
@@ -353,9 +232,15 @@ def _peel_sharded(graph_n: int, dg, working, table, buckets, ledger,
             if mine.size == 0:
                 continue
             table.tracker = sts[shard]
-            _local_round(shard, mine, r, s, graph_n, table, dg, working,
-                         status, owner_of, ledger, outboxes[shard],
-                         sts[shard])
+            if engine == "batch":
+                local_round_batch(shard, mine, comb_cols, r, s, graph_n,
+                                  table, dg, working, status, owner_of,
+                                  ledger, outboxes[shard], listing_batch,
+                                  sts[shard])
+            else:
+                _local_round(shard, mine, r, s, graph_n, table, dg, working,
+                             status, owner_of, ledger, outboxes[shard],
+                             sts[shard])
         table.tracker = None
         messages, n_bytes = _exchange_round(sts, outboxes, owner_of, ledger,
                                             exchange_engine)
@@ -392,9 +277,13 @@ def sharded_nucleus_decomp(graph: CSRGraph, r: int, s: int, n_shards: int,
 
     ``update_arithmetic`` is forced to ``"representative"`` (exact
     integer deltas commute across shards) and ``contraction`` off (a
-    shared-memory-only optimization); the batch peel engine likewise does
-    not apply --- the distributed driver's vectorized kernel is the
-    exchange (``exchange_engine="batch"``, oracle ``"scalar"``).
+    shared-memory-only optimization).  ``config.engine == "batch"``
+    selects the vectorized local round
+    (:func:`~repro.distributed.batchpeel.local_round_batch`, oracle
+    :func:`_local_round`; scalar again when a race detector is attached)
+    and ``config.listing_engine`` its s-clique expansion, exactly as on
+    one node; ``exchange_engine`` picks the exchange kernel
+    (``"batch"``, oracle ``"scalar"``).
     """
     if n_shards < 1:
         raise ValueError("n_shards must be >= 1")
@@ -459,11 +348,17 @@ def sharded_nucleus_decomp(graph: CSRGraph, r: int, s: int, n_shards: int,
     # Per-shard charges are explicit during peeling; the table's own
     # tracker is re-pointed at the active shard inside each local round.
     table.tracker = None
+    engine = config.engine
+    if engine == "batch" and tracker.race_detector is not None:
+        # Same fallback as arb_nucleus_decomp: the race detector relies on
+        # per-task shadow-array accesses only the scalar round performs.
+        engine = "scalar"
     with tracker.phase("peel"):
         rho, max_core, round_log, exchange_log, round_compute = \
             _peel_sharded(graph.n, dg, working, table, buckets, ledger,
                           outboxes, status, cores, owner_of, shard_trackers,
-                          config, tracker, n_r, r, s, exchange_engine)
+                          tracker, n_r, r, s, engine,
+                          prep.listing_engine == "batch", exchange_engine)
 
     table.tracker = None  # post-run queries should not keep charging
     order = np.argsort(cells, kind="stable")

@@ -27,18 +27,35 @@ def read_edge_list(path, relabel: bool = True) -> CSRGraph:
     Lines starting with ``#`` or ``%`` are comments.  Each remaining line
     holds two integer ids (any extra columns, e.g. weights, are ignored).
     With ``relabel=True`` (default) ids are compacted to ``0..n-1`` in
-    sorted order of the original ids.  Files ending in ``.gz`` are
+    sorted order of the original ids; with ``relabel=False`` they are
+    used as-is and must be non-negative.  Files ending in ``.gz`` are
     decompressed transparently (SNAP's distribution format).
+
+    Raises ``ValueError`` naming the file and line number for a line with
+    fewer than two columns, a non-integer id, or (``relabel=False``) a
+    negative id.
     """
     sources, targets = [], []
     with _open_text(path) as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line[0] in "#%":
                 continue
             parts = line.split()
-            sources.append(int(parts[0]))
-            targets.append(int(parts[1]))
+            where = f"{path}:{lineno}"
+            if len(parts) < 2:
+                raise ValueError(f"{where}: expected two vertex ids, "
+                                 f"got {line!r}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ValueError(f"{where}: vertex ids must be integers, "
+                                 f"got {line!r}") from None
+            if not relabel and min(u, v) < 0:
+                raise ValueError(f"{where}: negative vertex id in {line!r} "
+                                 f"(only allowed with relabel=True)")
+            sources.append(u)
+            targets.append(v)
     if not sources:
         return CSRGraph.from_edges(0 if relabel else 1, [])
     u = np.asarray(sources, dtype=np.int64)

@@ -368,7 +368,9 @@ def run_hierarchy_suite(machine: MachineModel | None = None,
 def run_sharded_entry(graph_name: str, r: int, s: int, shards: int,
                       machine: MachineModel | None = None,
                       threads: int = BENCH_THREADS,
-                      exchange_engine: str = "batch") -> dict:
+                      exchange_engine: str = "batch",
+                      engine: str = "scalar",
+                      listing_engine: str = "scalar") -> dict:
     """Run one pinned sharded decomposition under both partitioners.
 
     The entry records, per partitioner, the simulated communication
@@ -377,9 +379,12 @@ def run_sharded_entry(graph_name: str, r: int, s: int, shards: int,
     ``comm_reduction`` (hash comm time over mincut comm time --- the
     quantity the engine gate's ``--min-comm-reduction`` floor pins), and
     ``speedup`` (single-node simulated time over the mincut distributed
-    time).  By the exchange kernels' cost-parity invariant every
-    simulated metric is engine-independent --- only ``wall_clock`` and
-    the ``exchange_engine`` tag may differ.
+    time).  ``engine`` selects the local round (and the single-node
+    reference's peel), ``listing_engine`` the clique listing.  By the
+    engines' cost-parity invariants every simulated metric is
+    engine-independent --- only ``wall_clock`` (whose ``local_peel``
+    field sums both partitioners' shard local-round seconds) and the
+    engine tags may differ.
     """
     # Imported here: repro.distributed pulls in repro.observe.trace, so a
     # module-level import would be circular through the package __init__.
@@ -387,16 +392,20 @@ def run_sharded_entry(graph_name: str, r: int, s: int, shards: int,
     machine = machine or MachineModel()
     distributed = DistributedMachineModel(machine)
     graph = load_dataset(graph_name)
+    config = replace(NucleusConfig.optimal(r, s), engine=engine,
+                     listing_engine=listing_engine)
     single_tracker = CostTracker()
-    reference = arb_nucleus_decomp(graph, r, s, tracker=single_tracker)
+    reference = arb_nucleus_decomp(graph, r, s, config,
+                                   tracker=single_tracker)
     single_time = machine.time(single_tracker, threads)
     reference_cores = reference.as_dict()
     per_partitioner = {}
     wall = 0.0
+    local_peel = 0.0
     mincut_result = None
     for name in ("hash", "mincut"):
         result = sharded_nucleus_decomp(graph, r, s, shards,
-                                        partitioner=name,
+                                        partitioner=name, config=config,
                                         exchange_engine=exchange_engine)
         quality = partition_statistics(graph, result.partition.shard_of,
                                        shards, s=s)
@@ -415,6 +424,8 @@ def run_sharded_entry(graph_name: str, r: int, s: int, shards: int,
         }
         wall += sum(result.tracker.phase_wall.values()) + sum(
             sum(st.phase_wall.values()) for st in result.shard_trackers)
+        local_peel += sum(st.phase_wall.get("local_peel", 0.0)
+                          for st in result.shard_trackers)
         if name == "mincut":
             mincut_result = result
     hash_stats = per_partitioner["hash"]
@@ -427,7 +438,9 @@ def run_sharded_entry(graph_name: str, r: int, s: int, shards: int,
     return {
         "graph": graph_name, "r": r, "s": s, "shards": shards,
         "exchange_engine": exchange_engine,
-        "wall_clock": {"total": wall},
+        "engine": engine,
+        "listing_engine": listing_engine,
+        "wall_clock": {"total": wall, "local_peel": local_peel},
         "n_r": mincut_result.n_r_cliques, "n_s": mincut_result.n_s_cliques,
         "rho": mincut_result.rho, "max_core": mincut_result.max_core,
         "comm_messages": mincut_stats["comm_messages"],
@@ -449,7 +462,9 @@ def run_sharded_suite(machine: MachineModel | None = None,
                       suite: tuple[tuple[str, int, int, int], ...]
                       | None = None,
                       progress=None,
-                      exchange_engine: str = "batch") -> list[dict]:
+                      exchange_engine: str = "batch",
+                      engine: str = "scalar",
+                      listing_engine: str = "scalar") -> list[dict]:
     """Run the pinned sharded suite; returns the entry list (stored under
     the main payload's ``"sharded"`` key by the trajectory tool)."""
     if suite is None:
@@ -459,10 +474,13 @@ def run_sharded_suite(machine: MachineModel | None = None,
     for graph_name, r, s, shards in suite:
         if progress is not None:
             progress(f"bench sharded: {graph_name} ({r},{s}) x{shards} "
-                     f"[{exchange_engine}]")
+                     f"[{engine}/{listing_engine}, {exchange_engine} "
+                     f"exchange]")
         entries.append(run_sharded_entry(graph_name, r, s, shards, machine,
                                          threads,
-                                         exchange_engine=exchange_engine))
+                                         exchange_engine=exchange_engine,
+                                         engine=engine,
+                                         listing_engine=listing_engine))
     return entries
 
 

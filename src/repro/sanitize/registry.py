@@ -14,7 +14,10 @@ literal::
     }
 
 ``oracle`` names the scalar twin whose tracker charges the batch kernel
-must reproduce.  ``fingerprint`` is the kernel's *lexical charge
+must reproduce.  Top-level kernels must be registered; a class method is
+registered by opting in with a ``"Class.method"`` key (a bulk method
+pinned against its scalar form, e.g. ``UpdateLedger.fetch_sub_many``)
+and is then checked the same way.  ``fingerprint`` is the kernel's *lexical charge
 fingerprint*: for every direct charge-method call, the raw method name
 with its call-site count, and for every call that forwards the tracker
 to a helper, the helper's bare name with its count.  The analyzer
@@ -108,6 +111,25 @@ def tracked_kernels(project: Project, summaries: dict,
     return sorted(kernels, key=lambda f: f.lineno)
 
 
+def registered_methods(project: Project, registry: dict,
+                       module: ModuleInfo) -> list[FunctionInfo]:
+    """The class methods of an engine module that its registry names
+    (``"Class.method"`` keys): opt-in kernels, checked like top-level
+    ones."""
+    methods = [project.functions[qual] for qual, entry in registry.items()
+               if entry.module == module.name and qual in project.functions
+               and project.functions[qual].class_name is not None]
+    return sorted(methods, key=lambda f: f.lineno)
+
+
+def parity_kernels(project: Project, summaries: dict, module: ModuleInfo,
+                   registry: dict) -> list[FunctionInfo]:
+    """Every kernel of *module* whose parity contract PAR007 checks."""
+    return sorted(tracked_kernels(project, summaries, module)
+                  + registered_methods(project, registry, module),
+                  key=lambda f: f.lineno)
+
+
 def collect_registry(
         project: Project,
 ) -> tuple[dict[str, RegistryEntry], list[RegistryError]]:
@@ -157,10 +179,11 @@ def render_registry(project: Project, summaries: dict,
     the human to fill in (or keep, when re-blessing a fingerprint)."""
     existing, _ = collect_registry(project)
     lines = [f"{REGISTRY_NAME} = {{"]
-    for fn in tracked_kernels(project, summaries, module):
+    for fn in parity_kernels(project, summaries, module, existing):
         entry = existing.get(fn.qualname)
         oracle = entry.oracle if entry else "<scalar-oracle-qualname>"
-        lines.append(f'    "{fn.name}": {{')
+        key = fn.qualname[len(module.name) + 1:]
+        lines.append(f'    "{key}": {{')
         lines.append(f'        "oracle": "{oracle}",')
         lines.append('        "fingerprint": {')
         for key, count in kernel_fingerprint(fn).items():
@@ -175,5 +198,6 @@ def render_registry(project: Project, summaries: dict,
 __all__ = [
     "REGISTRY_NAME", "ENGINE_MODULE_RE", "RegistryEntry", "RegistryError",
     "is_engine_module", "kernel_fingerprint", "tracked_kernels",
-    "collect_registry", "render_registry", "TRACKER_CHARGE_METHODS",
+    "registered_methods", "parity_kernels", "collect_registry",
+    "render_registry", "TRACKER_CHARGE_METHODS",
 ]

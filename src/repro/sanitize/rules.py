@@ -41,8 +41,7 @@ import ast
 
 from .callgraph import EXTERNAL_EFFECT, FunctionInfo, ModuleInfo, Project
 from .parlint import Finding
-from .registry import (collect_registry, is_engine_module,
-                       kernel_fingerprint, tracked_kernels)
+from .registry import is_engine_module, kernel_fingerprint, parity_kernels
 
 STRICT_RULES = {
     "PAR005": "uncharged vectorized bulk operation in engine code",
@@ -181,7 +180,7 @@ def check_par007(project: Project, summaries: dict,
                 "PAR007", error.path, error.lineno, 0, error.message))
     if not is_engine_module(module):
         return findings
-    kernels = tracked_kernels(project, summaries, module)
+    kernels = parity_kernels(project, summaries, module, registry)
     for fn in kernels:
         entry = registry.get(fn.qualname)
         if entry is None:

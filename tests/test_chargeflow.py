@@ -86,7 +86,8 @@ class TestRealTree:
             "repro.analysis.batchhier",
             "repro.baselines.batchnd", "repro.baselines.batchtruss",
             "repro.cliques.batchlist", "repro.core.batchcore",
-            "repro.core.batchpeel", "repro.distributed.batchexchange"]
+            "repro.core.batchpeel", "repro.distributed.batchexchange",
+            "repro.distributed.batchpeel"]
         for module in engine:
             kernels = tracked_kernels(project, summaries, module)
             assert kernels, module.name
@@ -111,6 +112,16 @@ class TestMutations:
             " + total_probes * table.suffix_width)")
         result = analyze(SRC, overlay=overlay)
         assert any(f.rule == "PAR007" and "_edges_alive_many" in f.message
+                   for f in result.findings)
+
+    def test_dropping_a_registered_method_charge_breaks_parity(self):
+        # "Class.method" registry keys opt bulk methods into PAR007.
+        overlay = self._mutated(
+            "distributed/batchpeel.py",
+            "tracker.add_atomic(cells.size)\n"
+            "        np.subtract.at(self.counts, cells, amount)")
+        result = analyze(SRC, overlay=overlay)
+        assert any(f.rule == "PAR007" and "fetch_sub_many" in f.message
                    for f in result.findings)
 
     def test_dropping_a_batchlist_charge_breaks_parity(self):

@@ -9,9 +9,13 @@ scalar/batch exchange kernels must agree charge-for-charge on every
 tracker.
 """
 
+from dataclasses import replace
+from itertools import product
+
 import numpy as np
 import pytest
 
+from repro.core.config import NucleusConfig
 from repro.core.decomp import arb_nucleus_decomp
 from repro.distributed import (ENTRY_BYTES, DistributedMachineModel,
                                PARTITIONERS, hash_partition,
@@ -30,10 +34,22 @@ from repro.sanitize.racecheck import RaceDetector
 # parallel regions (the per-shard local peel rounds) are driven under a
 # live RaceDetector by TestShardedRaceCoverage below.  The exchange
 # kernels open no parallel regions (the exchange is the serial barrier
-# step between rounds), so the driver stamp covers the package.
+# step between rounds), so the driver stamp covers the package; the
+# batch local round falls back to the scalar one under a detector, and
+# TestShardedRaceCoverage asserts that fallback is lossless.
 RACECHECK_COVERS = [
     "repro.distributed.peel.sharded_nucleus_decomp",
+    "repro.distributed.batchpeel.local_round_batch",
 ]
+
+#: Every (local-round engine, exchange engine) pair the driver accepts.
+ENGINE_PAIRS = list(product(("scalar", "batch"), ("scalar", "batch")))
+
+
+def _engine_config(r, s, engine):
+    """``NucleusConfig.optimal`` with the peel and listing engines set."""
+    return replace(NucleusConfig.optimal(r, s), engine=engine,
+                   listing_engine=engine)
 
 #: The differential suite: (graph factory, r, s, shard count).  Two
 #: partitioner choices and shard counts from 2 to 8, k-core through
@@ -59,10 +75,11 @@ class TestDifferentialOracle:
                                         partitioner):
         graph = factory()
         reference = arb_nucleus_decomp(graph, r, s)
-        for engine in ("scalar", "batch"):
-            result = sharded_nucleus_decomp(graph, r, s, shards,
-                                            partitioner=partitioner,
-                                            exchange_engine=engine)
+        for engine, exchange_engine in ENGINE_PAIRS:
+            result = sharded_nucleus_decomp(
+                graph, r, s, shards, partitioner=partitioner,
+                config=_engine_config(r, s, engine),
+                exchange_engine=exchange_engine)
             assert np.array_equal(result._cells, reference._cells)
             assert np.array_equal(result._cores, reference._cores)
             assert result.as_dict() == reference.as_dict()
@@ -70,6 +87,22 @@ class TestDifferentialOracle:
             assert result.max_core == reference.max_core
             assert result.n_r_cliques == reference.n_r_cliques
             assert result.n_s_cliques == reference.n_s_cliques
+
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    def test_core_of_matches_single_node(self, engine):
+        graph = planted_partition(100, 4, 0.3, 0.03, seed=6)
+        config = _engine_config(2, 3, engine)
+        single = arb_nucleus_decomp(graph, 2, 3, config)
+        sharded = sharded_nucleus_decomp(graph, 2, 3, 4, config=config)
+        cliques = list(single.as_dict())
+        assert cliques
+        for clique in cliques:
+            assert sharded.core_of(clique) == single.core_of(clique)
+        assert sharded.core_histogram() == single.core_histogram()
+        stranger = next(v for v in range(1, graph.n)
+                        if not graph.has_edge(0, v))
+        with pytest.raises(KeyError):
+            sharded.core_of((0, stranger))
 
     def test_single_shard_has_no_comm(self):
         graph = planted_partition(80, 4, 0.3, 0.05, seed=5)
@@ -99,20 +132,28 @@ class TestDifferentialOracle:
 
 class TestExchangeParity:
     def test_scalar_and_batch_agree_on_every_tracker(self):
+        # Every engine pair against the all-scalar oracle: the batch local
+        # round and the batch exchange each replay their oracle's charges
+        # on every tracker, phase by phase.
         graph = planted_partition(120, 4, 0.3, 0.02, seed=1)
-        scalar = sharded_nucleus_decomp(graph, 2, 3, 4,
-                                        exchange_engine="scalar")
-        batch = sharded_nucleus_decomp(graph, 2, 3, 4,
-                                       exchange_engine="batch")
-        assert scalar.tracker.summary() == batch.tracker.summary()
-        for st_scalar, st_batch in zip(scalar.shard_trackers,
-                                       batch.shard_trackers):
-            assert st_scalar.summary() == st_batch.summary()
-        assert scalar.exchange_log == batch.exchange_log
-        assert scalar.round_compute == batch.round_compute
-        assert scalar.comm_messages == batch.comm_messages
-        assert scalar.comm_bytes == batch.comm_bytes
-        assert np.array_equal(scalar._cores, batch._cores)
+        runs = {pair: sharded_nucleus_decomp(
+                    graph, 2, 3, 4, config=_engine_config(2, 3, pair[0]),
+                    exchange_engine=pair[1])
+                for pair in ENGINE_PAIRS}
+        scalar = runs["scalar", "scalar"]
+        for pair, batch in runs.items():
+            assert scalar.tracker.summary() == batch.tracker.summary(), pair
+            for st_scalar, st_batch in zip(scalar.shard_trackers,
+                                           batch.shard_trackers):
+                assert st_scalar.summary() == st_batch.summary(), pair
+                assert {k: vars(v) for k, v in st_scalar.phases.items()} \
+                    == {k: vars(v) for k, v in st_batch.phases.items()}
+            assert scalar.exchange_log == batch.exchange_log
+            assert scalar.round_log == batch.round_log
+            assert scalar.round_compute == batch.round_compute
+            assert scalar.comm_messages == batch.comm_messages
+            assert scalar.comm_bytes == batch.comm_bytes
+            assert np.array_equal(scalar._cores, batch._cores)
 
 
 def _exchange_fixture():
@@ -192,33 +233,80 @@ class TestExchangeAccounting:
         assert results[0] == results[1]
 
 
+def _fetch_sub_each(ledger, cells, tracker):
+    for cell in cells:
+        ledger.fetch_sub(cell, 1, tracker)
+
+
+def _fetch_sub_bulk(ledger, cells, tracker):
+    ledger.fetch_sub_many(np.asarray(cells, dtype=np.int64), 1, tracker)
+
+
+def _buffer_each(outbox, cells, tracker):
+    for cell in cells:
+        outbox.buffer_remote(cell, tracker)
+
+
+def _buffer_bulk(outbox, cells, tracker):
+    outbox.buffer_remote_many(np.asarray(cells, dtype=np.int64), tracker)
+
+
 class TestLedgerAndOutbox:
+    """Each case runs the scalar method per cell and the ``_many`` form
+    once over the same cells; both must leave identical state."""
+
     def test_ledger_dedupes_within_round_only(self):
-        ledger = UpdateLedger(np.full(4, 3.0))
-        tracker = CostTracker()
-        ledger.begin_round(0)
-        ledger.fetch_sub(2, 1, tracker)
-        ledger.fetch_sub(2, 1, tracker)
-        assert ledger.updated == [2]
-        assert ledger.counts[2] == 1.0
-        ledger.begin_round(1)
-        ledger.fetch_sub(2, 1, tracker)
-        assert ledger.updated == [2]  # re-enters U in the new round
-        assert tracker.total.atomic_ops == 3
+        for fetch_sub in (_fetch_sub_each, _fetch_sub_bulk):
+            ledger = UpdateLedger(np.full(4, 3.0))
+            tracker = CostTracker()
+            ledger.begin_round(0)
+            fetch_sub(ledger, [2, 2], tracker)
+            assert ledger.updated == [2]
+            assert ledger.counts[2] == 1.0
+            ledger.begin_round(1)
+            fetch_sub(ledger, [2], tracker)
+            assert ledger.updated == [2]  # re-enters U in the new round
+            assert tracker.total.atomic_ops == 3
 
     def test_outbox_coalesces_and_drains(self):
-        outbox = ExchangeBuffer(6)
-        tracker = CostTracker()
-        outbox.begin_round(0)
-        outbox.buffer_remote(3, tracker)
-        outbox.buffer_remote(3, tracker)
-        outbox.buffer_remote(1, tracker)
-        cells, deltas = outbox.drain()
-        assert list(cells) == [3, 1]  # first-touch order
-        assert list(deltas) == [2, 1]
-        cells, deltas = outbox.drain()
-        assert cells.size == 0 and deltas.size == 0
-        assert np.all(outbox.pending == 0)
+        for buffer_remote in (_buffer_each, _buffer_bulk):
+            outbox = ExchangeBuffer(6)
+            tracker = CostTracker()
+            outbox.begin_round(0)
+            buffer_remote(outbox, [3, 3, 1], tracker)
+            cells, deltas = outbox.drain()
+            assert list(cells) == [3, 1]  # first-touch order
+            assert list(deltas) == [2, 1]
+            cells, deltas = outbox.drain()
+            assert cells.size == 0 and deltas.size == 0
+            assert np.all(outbox.pending == 0)
+
+    def test_bulk_forms_match_scalar_state(self):
+        # Several calls per round over repeated cells, across two rounds:
+        # counts, stamps, first-touch order and charges all agree.
+        rng = np.random.default_rng(12)
+        batches = [[rng.integers(0, 9, size=k).tolist() for k in (5, 0, 7)]
+                   for _ in range(2)]
+        states = []
+        for fetch_sub, buffer_remote in ((_fetch_sub_each, _buffer_each),
+                                         (_fetch_sub_bulk, _buffer_bulk)):
+            ledger = UpdateLedger(np.full(9, 20.0))
+            outbox = ExchangeBuffer(9)
+            tracker = CostTracker()
+            log = []
+            for round_id, calls in enumerate(batches):
+                ledger.begin_round(round_id)
+                outbox.begin_round(round_id)
+                for cells in calls:
+                    fetch_sub(ledger, cells, tracker)
+                    buffer_remote(outbox, cells[::-1], tracker)
+                log.append((list(ledger.updated), list(outbox.touched),
+                            outbox.pending.tolist()))
+                outbox.drain()
+            states.append((log, ledger.counts.tolist(),
+                           ledger.stamp.tolist(), outbox.stamp.tolist(),
+                           tracker.summary()))
+        assert states[0] == states[1]
 
 
 class TestPartitioners:
@@ -353,6 +441,26 @@ class TestShardedRaceCoverage:
         assert detector.settle(strict=False) == []
         assert detector.stats.tasks > 0
         assert result.as_dict() == arb_nucleus_decomp(graph, 2, 3).as_dict()
+
+    def test_batch_engine_falls_back_and_stays_race_clean(self):
+        # Under a detector the batch local round falls back to the scalar
+        # one; the run must be race-free and equal the uninstrumented
+        # batch run on every tracker.
+        graph = planted_partition(80, 4, 0.3, 0.05, seed=11)
+        config = _engine_config(2, 3, "batch")
+        tracker = CostTracker()
+        detector = RaceDetector()
+        tracker.race_detector = detector
+        checked = sharded_nucleus_decomp(graph, 2, 3, 3, config=config,
+                                         tracker=tracker)
+        assert detector.settle(strict=False) == []
+        assert detector.stats.tasks > 0
+        plain = sharded_nucleus_decomp(graph, 2, 3, 3, config=config)
+        assert checked.as_dict() == plain.as_dict()
+        assert checked.exchange_log == plain.exchange_log
+        assert checked.round_compute == plain.round_compute
+        assert [st.summary() for st in checked.shard_trackers] \
+            == [st.summary() for st in plain.shard_trackers]
 
     def test_shard_trackers_share_the_detector(self):
         tracker = CostTracker()

@@ -56,9 +56,11 @@ def main(argv: list[str] | None = None) -> int:
                              "count-phase speedup of at least "
                              "--min-listing-speedup, a baseline "
                              "hot-phase speedup of at least "
-                             "--min-baseline-speedup and a hierarchy "
+                             "--min-baseline-speedup, a hierarchy "
                              "level-sweep speedup of at least "
-                             "--min-hierarchy-speedup; writes the scalar "
+                             "--min-hierarchy-speedup and a sharded "
+                             "local-round speedup of at least x2 (fixed); "
+                             "writes the scalar "
                              "payload to --output and the batch / listing "
                              "payloads next to it")
     parser.add_argument("--min-speedup", type=float, default=1.0,
@@ -106,7 +108,8 @@ def main(argv: list[str] | None = None) -> int:
         listing_engine=args.listing_engine)
     payload["sharded"] = bench.run_sharded_suite(
         threads=args.threads, progress=progress,
-        exchange_engine=args.engine)
+        exchange_engine=args.engine, engine=args.engine,
+        listing_engine=args.listing_engine)
     bench.write_payload(payload, args.output)
     print(f"wrote {len(payload['suite'])} suite entries, "
           f"{len(payload['baselines'])} baseline entries, "
@@ -174,6 +177,16 @@ def _hierarchy_hot_total(payload: dict) -> float:
                for e in payload["hierarchy"])
 
 
+#: Fixed floor on the sharded suite's summed ``local_peel`` wall-clock
+#: speedup of the batch local round over the scalar one.
+MIN_LOCAL_PEEL_SPEEDUP = 2.0
+
+
+def _sharded_local_peel_total(payload: dict) -> float:
+    return sum(e["wall_clock"].get("local_peel", 0.0)
+               for e in payload["sharded"])
+
+
 def _engine_gate(args, baseline) -> int:
     """Run both engines (and the batch listing engine); enforce the
     cost-parity invariants plus the peel and count-phase speedups."""
@@ -197,7 +210,8 @@ def _engine_gate(args, baseline) -> int:
     scalar["sharded"] = bench.run_sharded_suite(
         threads=args.threads, progress=progress, exchange_engine="scalar")
     batch["sharded"] = bench.run_sharded_suite(
-        threads=args.threads, progress=progress, exchange_engine="batch")
+        threads=args.threads, progress=progress, exchange_engine="batch",
+        engine="batch", listing_engine="batch")
     bench.write_payload(scalar, args.output)
     root, ext = os.path.splitext(args.output)
     batch_path = f"{root}.batch{ext or '.json'}"
@@ -255,6 +269,17 @@ def _engine_gate(args, baseline) -> int:
         failures.append(f"batch hierarchy level-sweep speedup "
                         f"x{hierarchy_ratio:.2f} below the required "
                         f"x{args.min_hierarchy_speedup:.2f}")
+    scalar_local = _sharded_local_peel_total(scalar)
+    batch_local = _sharded_local_peel_total(batch)
+    local_ratio = scalar_local / batch_local if batch_local > 0 \
+        else float("inf")
+    print(f"sharded-suite local_peel wall-clock: scalar "
+          f"{scalar_local:.3f}s, batch {batch_local:.3f}s (speedup "
+          f"x{local_ratio:.2f})")
+    if local_ratio < MIN_LOCAL_PEEL_SPEEDUP:
+        failures.append(f"batch local-round speedup x{local_ratio:.2f} "
+                        f"below the required "
+                        f"x{MIN_LOCAL_PEEL_SPEEDUP:.2f}")
     worst_reduction = float("inf")
     for entry in batch["sharded"]:
         reduction = entry["comm_reduction"]
@@ -288,7 +313,8 @@ def _engine_gate(args, baseline) -> int:
           f"x{ratio:.2f} faster, batch listing count phase "
           f"x{listing_ratio:.2f} faster, batch baselines "
           f"x{baseline_ratio:.2f} faster, batch hierarchy level sweep "
-          f"x{hierarchy_ratio:.2f} faster, worst mincut comm reduction "
+          f"x{hierarchy_ratio:.2f} faster, batch local round "
+          f"x{local_ratio:.2f} faster, worst mincut comm reduction "
           f"x{worst_reduction:.2f}")
     return 0
 
