@@ -31,6 +31,8 @@ per pointer; the two-level top array costs ``n`` units.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from ..cliques.encode import MAX_KEY_BITS, CliqueEncoder, KeyWidthError, \
@@ -42,9 +44,27 @@ from ..parallel.runtime import CostTracker, _log2
 
 _EMPTY = np.uint64(EMPTY_KEY)
 
+#: Batch<->scalar parity contract, verified statically by ``repro lint
+#: --strict`` (rule PAR007); see :data:`repro.core.batchpeel.PARLINT_PARITY`.
+#: The bulk build's placement kernel is pinned against the scalar insert.
+PARLINT_PARITY = {
+    "CliqueTable._insert_many": {
+        "oracle": "repro.core.tables.CliqueTable._insert",
+        "fingerprint": {
+            "add_probes": 1,
+            "add_work_int": 1,
+        },
+    },
+}
 
-def _next_pow2(x: int) -> int:
-    return 1 << max(2, (x - 1).bit_length())
+
+def _next_pow2_many(x: np.ndarray) -> np.ndarray:
+    """``1 << max(2, (x - 1).bit_length())`` per element.
+
+    ``frexp`` returns the exact bit length of any integer below 2**53.
+    """
+    bits = np.frexp(np.asarray(x, dtype=np.int64) - 1.0)[1]
+    return np.int64(1) << np.maximum(2, bits).astype(np.int64)
 
 
 class CliqueTable:
@@ -125,8 +145,8 @@ class CliqueTable:
         group_sizes = np.diff(np.concatenate([group_starts, [count]])) \
             if count else np.array([], dtype=np.int64)
         self.n_tables = len(group_sizes)
-        caps = np.array([_next_pow2(int(np.ceil(sz / max_load)) + 1)
-                         for sz in group_sizes], dtype=np.int64)
+        caps = _next_pow2_many(
+            np.ceil(group_sizes / max_load).astype(np.int64) + 1)
         self._starts = np.zeros(self.n_tables + 1, dtype=np.int64)
         self._starts[1:] = np.cumsum(caps)
         self.total_cells = int(self._starts[-1])
@@ -134,9 +154,8 @@ class CliqueTable:
         self._keys = np.full(self.total_cells, _EMPTY, dtype=np.uint64)
         self._counts = np.zeros(self.total_cells, dtype=np.float64)
         # Owner array doubles as the stored up-pointers of Section 5.3.
-        self._owner = np.zeros(self.total_cells, dtype=np.int64)
-        for tid in range(self.n_tables):
-            self._owner[self._starts[tid]:self._starts[tid + 1]] = tid
+        table_ids = np.arange(self.n_tables, dtype=np.int64)
+        self._owner = np.repeat(table_ids, caps)
 
         # Simulated addresses: contiguous packs tables into one slab;
         # otherwise each table is a separate scattered allocation.
@@ -144,28 +163,23 @@ class CliqueTable:
             base = space.alloc(self.total_cells)
             self._table_addr = base + self._starts[:-1]
         else:
-            self._table_addr = np.array(
-                [space.alloc(int(c)) for c in caps], dtype=np.int64)
+            self._table_addr = space.alloc_many(caps)
         # Auxiliary address regions (prefix-sum array, intermediate levels).
         self._prefix_addr = space.alloc(self.n_tables + 1)
         self._level_addrs = [space.alloc(max(1, self.n))
                              for _ in range(max(0, self.levels - 1))]
 
         # Top-level routing: first-vertex array (two-level "array" style) or
-        # a path dictionary standing in for the nested intermediate tables.
-        self._path_to_tid: dict[tuple, int] = {
-            tuple(int(x) for x in self._paths[tid]): tid
-            for tid in range(self.n_tables)}
+        # a path dictionary standing in for the nested intermediate tables
+        # (_path_to_tid, built on first scalar lookup).
         if self.style == "array" and self.levels == 2:
             self._top_array = np.full(self.n, -1, dtype=np.int64)
-            for tid in range(self.n_tables):
-                self._top_array[int(self._paths[tid][0])] = tid
+            if self.n_tables:
+                self._top_array[self._paths[:, 0]] = table_ids
 
-        # Insert every clique's suffix key.
-        for row in cliques:
-            tid = self._path_to_tid[tuple(int(x) for x in row[:prefix_w])]
-            key = self._encoder.encode(row[prefix_w:])
-            self._insert(tid, key)
+        # Insert every clique's suffix key, in lexicographic row order.
+        self._insert_many(np.repeat(table_ids, group_sizes),
+                          self._encoder.encode_many(cliques[:, prefix_w:]))
 
         self.memory_units = self._memory_units()
         if self.tracker is not None:
@@ -175,6 +189,12 @@ class CliqueTable:
         # depend only on state that is frozen after construction.
         self._next_boundary: np.ndarray | None = None
         self._path_code_table: np.ndarray | None = None
+
+    @cached_property
+    def _path_to_tid(self) -> dict[tuple, int]:
+        """Path tuple -> table id: the scalar routing walk's dictionary."""
+        return {tuple(row): tid
+                for tid, row in enumerate(self._paths.tolist())}
 
     def _insert(self, tid: int, key: int) -> int:
         start = int(self._starts[tid])
@@ -203,6 +223,82 @@ class CliqueTable:
             self.tracker.add_probes(probes)
         return cell
 
+    def _insert_many(self, tids: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """Bulk :meth:`_insert` of rows in arrival order; returns their cells.
+
+        Precondition: the sub-tables are empty and duplicate rows are
+        adjacent (the lexicographic build order guarantees both).  The
+        layout, the probe counts and the charges equal a loop of scalar
+        :meth:`_insert` calls.  Keys are placed by arrival-priority
+        displacement rounds: every unplaced row claims its current slot,
+        the earliest row wins it (even against a later row already holding
+        it), and losing and displaced rows move one slot forward.  A row is
+        only ever blocked by earlier rows and a slot once held stays held
+        by an earlier row, so each row ends at the first slot from its home
+        not taken by earlier rows --- the sequential linear-probing layout.
+        A duplicate row finds its key where the first copy landed, after
+        the same number of probes.
+        """
+        if keys.size == 0:
+            return np.empty(0, dtype=np.int64)
+        dup = np.zeros(keys.size, dtype=bool)
+        dup[1:] = (tids[1:] == tids[:-1]) & (keys[1:] == keys[:-1])
+        copy_of = np.cumsum(~dup) - 1 if dup.any() else None
+        if copy_of is not None:
+            first = np.flatnonzero(~dup)
+            tids, keys = tids[first], keys[first]
+        self._check_room(tids, keys)
+        home = (hash64_many(keys)
+                & (self._caps[tids] - 1).astype(np.uint64)).astype(np.int64)
+        disp = np.zeros(keys.size, dtype=np.int64)
+        # Until the final write, a placed cell holds its row's arrival
+        # index, so the minimum scatter resolves claims against holders.
+        holder = self._keys
+        active = np.arange(keys.size, dtype=np.int64)
+        while active.size:
+            cells = self._slot_cells(tids[active],
+                                     home[active] + disp[active])
+            ids = active.astype(np.uint64)
+            before = holder[cells]
+            np.minimum.at(holder, cells, ids)
+            after = holder[cells]
+            displaced = np.unique(before[(before != _EMPTY)
+                                         & (after != before)])
+            active = np.concatenate([active[after != ids],
+                                     displaced.astype(np.int64)])
+            disp[active] += 1
+        cells = self._slot_cells(tids, home + disp)
+        self._keys[cells] = keys
+        if copy_of is not None:
+            disp, cells = disp[copy_of], cells[copy_of]
+        if self.tracker is not None:
+            probes = int(disp.sum()) + disp.size
+            # Both land in the integer bins, so one bulk charge equals the
+            # per-row charges of the scalar loop.
+            self.tracker.add_work_int(probes * self.suffix_width)
+            self.tracker.add_probes(probes)
+        return cells
+
+    def _slot_cells(self, tids: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """Global cells of (wrapped) probe ``slots`` in sub-tables ``tids``."""
+        return self._starts[tids] + (slots & (self._caps[tids] - 1))
+
+    def _check_room(self, tids: np.ndarray, keys: np.ndarray) -> None:
+        """Raise the scalar :meth:`_insert` overflow error if some sub-table
+        gets more distinct keys than cells (possible for ``max_load > 1``),
+        naming the first row in arrival order that would not fit."""
+        over = np.flatnonzero(
+            np.bincount(tids, minlength=self.n_tables) > self._caps)
+        if not over.size:
+            return
+        row = min(int(np.flatnonzero(tids == tid)[self._caps[tid]])
+                  for tid in over)
+        tid, cap = int(tids[row]), int(self._caps[tids[row]])
+        raise RuntimeError(
+            f"clique table sub-table {tid} is full: probed all "
+            f"{cap} slots inserting key {int(keys[row])} without finding it "
+            f"or an empty cell")
+
     def _memory_units(self) -> int:
         """Paper-convention memory units (Figures 3-4): vertices + pointers."""
         last = self.n_cliques * self.suffix_width
@@ -211,12 +307,17 @@ class CliqueTable:
         if self.style == "array":
             return self.n + last
         # Nested hash levels: each intermediate entry is a vertex + pointer.
+        # _paths is sorted and unique, so a row opens a new depth-d prefix
+        # exactly when one of its first d vertices differs from the row
+        # before it.
         units = last
         if self.n_cliques:
+            opens = np.zeros(self.n_tables, dtype=bool)
+            opens[0] = True
             for depth in range(1, self.levels):
-                prefixes = {tuple(int(x) for x in p[:depth])
-                            for p in self._paths}
-                units += 2 * len(prefixes)
+                column = self._paths[:, depth - 1]
+                opens[1:] |= column[1:] != column[:-1]
+                units += 2 * int(opens.sum())
         return units
 
     # -- lookup path ---------------------------------------------------------

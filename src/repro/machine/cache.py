@@ -38,10 +38,12 @@ class CacheSimulator:
 
     def __init__(self, line_words: int = 8, n_sets: int = 256, ways: int = 8,
                  sample: int = 1):
-        if line_words & (line_words - 1):
-            raise ValueError("line_words must be a power of two")
-        if n_sets & (n_sets - 1):
-            raise ValueError("n_sets must be a power of two")
+        for name, value in (("line_words", line_words), ("n_sets", n_sets)):
+            if value < 1 or value & (value - 1):
+                raise ValueError(
+                    f"{name} must be a positive power of two, got {value}")
+        if ways < 1:
+            raise ValueError(f"ways must be at least 1, got {ways}")
         self.line_bits = line_words.bit_length() - 1
         self.set_mask = n_sets - 1
         self.ways = ways
@@ -104,6 +106,12 @@ class CacheSimulator:
         different sets never interact (each set has its own tag/stamp rows
         and the global clock values are preserved per access), which is what
         makes the per-set replay legal.
+
+        Within one set's stream, a repeat of the line just touched is always
+        a hit on the same way whose only effect is to move that way's stamp
+        to the later clock.  Each run of consecutive same-line accesses
+        therefore collapses to its head carrying the clock of the run's last
+        access, and the LRU loop walks run heads only.
         """
         addrs = np.asarray(addresses, dtype=np.int64).ravel()
         n = addrs.size
@@ -122,30 +130,39 @@ class CacheSimulator:
             if n == 0:
                 return 0
         lines = addrs >> self.line_bits
-        sets = (lines & self.set_mask).astype(np.int64)
-        clocks = self._clock + 1 + np.arange(n, dtype=np.int64)
+        order = np.argsort(lines & self.set_mask, kind="stable")
+        lines = lines[order]
+        # A line fixes its set, so equal neighbours in the set-sorted stream
+        # are a same-line run inside one set's stream.
+        heads = np.flatnonzero(np.concatenate(([True],
+                                               lines[1:] != lines[:-1])))
+        last = np.append(heads[1:], n) - 1
+        run_lines = lines[heads]
+        run_clocks = (self._clock + 1 + order[last]).tolist()
+        run_sets = run_lines & self.set_mask
         self._clock += n
         self._raw_accesses += n
-        order = np.argsort(sets, kind="stable")
-        sorted_sets = sets[order]
-        boundaries = np.flatnonzero(sorted_sets[1:] != sorted_sets[:-1]) + 1
+        set_starts = np.flatnonzero(np.concatenate(
+            ([True], run_sets[1:] != run_sets[:-1])))
+        touched = run_sets[set_starts]
+        bounds = np.append(set_starts, run_lines.size).tolist()
+        run_lines = run_lines.tolist()
+        tag_rows = self._tags[touched].tolist()
+        stamp_rows = self._stamp[touched].tolist()
         misses = 0
-        for group in np.split(order, boundaries):
-            set_idx = int(sets[group[0]])
-            tags = self._tags[set_idx].tolist()
-            stamps = self._stamp[set_idx].tolist()
-            for i in group:
-                line = int(lines[i])
-                clock = int(clocks[i])
-                try:
+        for g, tags in enumerate(tag_rows):
+            stamps = stamp_rows[g]
+            for i in range(bounds[g], bounds[g + 1]):
+                line = run_lines[i]
+                if line in tags:
                     way = tags.index(line)
-                except ValueError:
+                else:
                     misses += 1
                     way = stamps.index(min(stamps))
                     tags[way] = line
-                stamps[way] = clock
-            self._tags[set_idx] = tags
-            self._stamp[set_idx] = stamps
+                stamps[way] = run_clocks[i]
+        self._tags[touched] = tag_rows
+        self._stamp[touched] = stamp_rows
         self._raw_misses += misses
         return misses
 
@@ -194,3 +211,15 @@ class AddressSpace:
         base = self._next
         self._next += int(words)
         return base
+
+    def alloc_many(self, words) -> np.ndarray:
+        """Bulk :meth:`alloc` of independent blocks; returns their bases.
+
+        Equal to one non-contiguous :meth:`alloc` per element in order.
+        """
+        words = np.asarray(words, dtype=np.int64)
+        ends = self._next + self.SCATTER_GAP * np.arange(
+            1, words.size + 1, dtype=np.int64) + np.cumsum(words)
+        if words.size:
+            self._next = int(ends[-1])
+        return ends - words

@@ -9,6 +9,8 @@ aggregator growth).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bucketing.julienne import JulienneBucketing
 from repro.cliques.encode import CliqueEncoder
@@ -20,7 +22,7 @@ from repro.core.tables import CliqueTable
 from repro.graph.generators import planted_partition
 from repro.machine.cache import AddressSpace, CacheSimulator
 from repro.parallel.atomics import ContentionMeter
-from repro.parallel.hashtable import hash64, hash64_many
+from repro.parallel.hashtable import EMPTY_KEY, hash64, hash64_many
 from repro.parallel.primitives import (interleave_segments, intersect_many,
                                        segment_offsets)
 from repro.parallel.runtime import CostTracker
@@ -71,6 +73,96 @@ class TestCacheAccessMany:
         sim = CacheSimulator()
         assert sim.access_many(np.empty(0, dtype=np.int64)) == 0
         assert sim.accesses == 0
+
+    # The batch replay collapses runs of consecutive same-line accesses in
+    # a set's stream; these streams are built to contain long runs.
+
+    @staticmethod
+    def _assert_same_state(a, b):
+        assert a.misses == b.misses
+        assert a.accesses == b.accesses
+        assert np.array_equal(a._tags, b._tags)
+        assert np.array_equal(a._stamp, b._stamp)
+        assert a._clock == b._clock
+        assert a._skip == b._skip
+
+    @staticmethod
+    def _run_stream(batches, geometry, reset_between=False):
+        scalar = CacheSimulator(**geometry)
+        batch = CacheSimulator(**geometry)
+        for chunk in batches:
+            if reset_between:
+                scalar.reset_counters()
+                batch.reset_counters()
+            expected = scalar.misses
+            for x in chunk:
+                scalar.access(int(x))
+            raw = batch.access_many(chunk)
+            assert raw * batch.sample == scalar.misses - expected
+        return scalar, batch
+
+    @pytest.mark.parametrize("sample", [1, 3, 13])
+    @pytest.mark.parametrize("geometry", [
+        dict(), dict(n_sets=1, ways=1, line_words=1),
+        dict(n_sets=1, ways=2, line_words=1),
+        dict(n_sets=1, ways=2, line_words=8),
+        dict(n_sets=4, ways=1, line_words=1),
+        dict(n_sets=2, ways=2, line_words=2)])
+    def test_same_line_runs(self, sample, geometry):
+        rng = np.random.default_rng(4)
+        batches = [
+            # narrow address ranges: neighbours share a line or a set
+            np.repeat(rng.integers(0, 24, size=150),
+                      rng.integers(1, 9, size=150)),
+            rng.integers(0, 16, size=400),
+            np.repeat(np.arange(40), 11),
+            np.full(37, 5),
+        ]
+        scalar, batch = self._run_stream(batches, dict(geometry,
+                                                       sample=sample))
+        self._assert_same_state(scalar, batch)
+
+    @pytest.mark.parametrize("sample", [1, 3, 13])
+    @pytest.mark.parametrize("ways", [1, 2, 8])
+    def test_reset_counters_between_batches(self, sample, ways):
+        # After a reset every stamp is 0, so the first misses of the next
+        # batch break the tie by the lowest way index.
+        rng = np.random.default_rng(9)
+        batches = [np.repeat(rng.integers(0, 64, size=60),
+                             rng.integers(1, 6, size=60))
+                   for _ in range(4)]
+        scalar, batch = self._run_stream(
+            batches, dict(n_sets=2, ways=ways, line_words=2, sample=sample),
+            reset_between=True)
+        self._assert_same_state(scalar, batch)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(1, 1, 1), (1, 2, 1), (2, 2, 4), (4, 3, 2)]),
+           st.sampled_from([1, 3, 13]),
+           st.lists(st.tuples(st.sampled_from(["scalar", "batch", "reset"]),
+                              st.lists(st.integers(0, 40), max_size=30),
+                              st.integers(1, 6)),
+                    max_size=8))
+    def test_random_batch_scalar_interleavings(self, geometry, sample, ops):
+        n_sets, ways, line_words = geometry
+        params = dict(n_sets=n_sets, ways=ways, line_words=line_words,
+                      sample=sample)
+        oracle = CacheSimulator(**params)
+        mixed = CacheSimulator(**params)
+        for kind, addresses, repeat in ops:
+            stream = np.repeat(np.asarray(addresses, dtype=np.int64), repeat)
+            if kind == "reset":
+                oracle.reset_counters()
+                mixed.reset_counters()
+                continue
+            for x in stream:
+                oracle.access(int(x))
+            if kind == "batch":
+                mixed.access_many(stream)
+            else:
+                for x in stream:
+                    mixed.access(int(x))
+        self._assert_same_state(oracle, mixed)
 
 
 class TestHashAndEncodeMany:
@@ -139,6 +231,106 @@ class TestTableBatchKernels:
         assert table_a.tracker.total.work == table_b.tracker.total.work
         assert table_a.tracker.total.atomic_ops == \
             table_b.tracker.total.atomic_ops
+
+
+def _scalar_replay(table, cliques):
+    """Empty ``table``'s sub-tables and re-insert every row, in the build's
+    lexicographic order, through the scalar ``_insert`` on a fresh tracker.
+    Returns the bulk build's keys and the replay's tracker."""
+    built = table._keys.copy()
+    table._keys[:] = EMPTY_KEY
+    table.tracker = CostTracker()
+    prefix_w = table.levels - 1
+    order = np.lexsort(tuple(cliques[:, c]
+                             for c in range(table.r - 1, -1, -1)))
+    for row in cliques[order].tolist():
+        tid = table._path_to_tid[tuple(row[:prefix_w])]
+        table._insert(tid, table._encoder.encode(row[prefix_w:]))
+    return built, table.tracker
+
+
+def _build_layouts(r):
+    for levels in range(1, r + 1):
+        for style in (("hash", "array") if levels == 2 else ("hash",)):
+            for contiguous in (False, True):
+                yield dict(levels=levels, style=style, contiguous=contiguous)
+
+
+class TestBulkTableBuild:
+    """The bulk build equals a replay through the scalar ``_insert``: same
+    ``_keys`` layout, same probe count, same work."""
+
+    @staticmethod
+    def _cliques(r):
+        dg, _ = orient(planted_partition(40, 2, 0.6, 0.05, seed=5),
+                       "degeneracy")
+        return np.sort(collect_cliques(dg, r), axis=1)
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    @pytest.mark.parametrize("max_load", [0.7, 0.9999, 1.0])
+    def test_matches_scalar_replay(self, r, max_load):
+        cliques = self._cliques(r)
+        assert cliques.shape[0] > 20
+        for layout in _build_layouts(r):
+            build = CostTracker()
+            table = CliqueTable(40, r, cliques, tracker=build,
+                                max_load=max_load, **layout)
+            built, replay = _scalar_replay(table, cliques)
+            assert np.array_equal(built, table._keys), layout
+            assert build.total.table_probes == replay.total.table_probes
+            assert build.work == replay.work
+            assert build.total.table_probes >= cliques.shape[0]
+
+    def test_near_full_tables_chain_and_wrap(self):
+        # 127 keys in one 128-cell sub-table: long probe chains, and keys
+        # hashed near the end of the table wrap around to its start.
+        cliques = self._cliques(2)[:127]
+        build = CostTracker()
+        table = CliqueTable(40, 2, cliques, levels=1, tracker=build,
+                            max_load=1.0)
+        cap = int(table._caps[0])
+        assert cap == 128
+        keys = table._keys
+        homes = (hash64_many(keys[keys != EMPTY_KEY])
+                 & np.uint64(cap - 1)).astype(np.int64)
+        cells = np.flatnonzero(keys != EMPTY_KEY)
+        assert (cells < homes).any()                 # wrapped around
+        assert build.total.table_probes > 2 * cliques.shape[0]
+        built, replay = _scalar_replay(table, cliques)
+        assert np.array_equal(built, table._keys)
+        assert build.total.table_probes == replay.total.table_probes
+
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_duplicate_rows_find_their_key(self, levels):
+        cliques = self._cliques(3)
+        rows = np.concatenate([cliques, cliques[::3], cliques[:5]])
+        build = CostTracker()
+        table = CliqueTable(40, 3, rows, levels=levels, tracker=build,
+                            max_load=0.95)
+        assert len(table.occupied_cells()) == cliques.shape[0]
+        built, replay = _scalar_replay(table, rows)
+        assert np.array_equal(built, table._keys)
+        assert build.total.table_probes == replay.total.table_probes
+        assert build.work == replay.work
+
+    def test_insert_many_returns_scalar_cells(self):
+        table, cliques = build_table(levels=2, style="hash")
+        cells = [table.cell_of(tuple(row)) for row in cliques.tolist()]
+        order = np.lexsort(tuple(cliques[:, c] for c in (1, 0)))
+        table._keys[:] = EMPTY_KEY
+        got = table._insert_many(table._route_many(cliques[order]),
+                                 table._encoder.encode_many(
+                                     cliques[order][:, 1:]))
+        assert got.tolist() == np.asarray(cells)[order].tolist()
+
+    def test_overfull_subtable_raises(self):
+        cliques = self._cliques(2)
+        with pytest.raises(RuntimeError,
+                           match=r"sub-table 0 is full: probed all 4 slots"):
+            CliqueTable(40, 2, cliques, levels=1, max_load=1e9)
+        with pytest.raises(RuntimeError, match="is full"):
+            CliqueTable(40, 2, cliques, levels=2, style="array",
+                        max_load=4.0)
 
 
 class TestInsertProbeOverflow:

@@ -50,6 +50,22 @@ class TestCacheSimulator:
         with pytest.raises(ValueError):
             CacheSimulator(n_sets=100)
 
+    @pytest.mark.parametrize("param,value", [
+        ("n_sets", 0), ("line_words", 0), ("ways", 0),
+        ("n_sets", -4), ("line_words", -8), ("ways", -1)])
+    def test_degenerate_geometry_rejected_up_front(self, param, value):
+        # Used to construct fine and fail on the first access (IndexError,
+        # negative shift count, argmin of an empty sequence).
+        with pytest.raises(ValueError, match=param):
+            CacheSimulator(**{param: value})
+
+    def test_smallest_geometry_is_valid(self):
+        c = CacheSimulator(line_words=1, n_sets=1, ways=1)
+        assert c.access(5) is False
+        assert c.access(5) is True
+        assert c.access(6) is False
+        assert c.access(5) is False
+
     def test_reset_counters(self):
         c = CacheSimulator()
         c.access(0)
@@ -119,6 +135,20 @@ class TestAddressSpace:
         a = space.alloc(10)
         b = space.alloc(10)
         assert b - (a + 10) >= AddressSpace.SCATTER_GAP - 10
+
+    def test_alloc_many_matches_alloc_loop(self):
+        words = [3, 0, 17, 1]
+        a, b = AddressSpace(), AddressSpace()
+        a.alloc(5)
+        b.alloc(5)
+        expected = [a.alloc(w) for w in words]
+        assert b.alloc_many(words).tolist() == expected
+        assert a.alloc(1) == b.alloc(1)
+
+    def test_alloc_many_empty(self):
+        space = AddressSpace()
+        assert space.alloc_many([]).size == 0
+        assert space.alloc(4) == AddressSpace.SCATTER_GAP
 
     def test_contiguous_packing(self):
         space = AddressSpace()

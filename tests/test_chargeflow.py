@@ -14,7 +14,7 @@ from repro.sanitize.callgraph import build_project
 from repro.sanitize.chargeflow import analyze, main
 from repro.sanitize.parlint import lint_source
 from repro.sanitize.registry import (collect_registry, is_engine_module,
-                                     tracked_kernels)
+                                     parity_kernels)
 from repro.sanitize.reporters import apply_baseline, report_sarif
 from repro.sanitize.summaries import compute_summaries
 
@@ -86,10 +86,13 @@ class TestRealTree:
             "repro.analysis.batchhier",
             "repro.baselines.batchnd", "repro.baselines.batchtruss",
             "repro.cliques.batchlist", "repro.core.batchcore",
-            "repro.core.batchpeel", "repro.distributed.batchexchange",
+            "repro.core.batchpeel", "repro.core.tables",
+            "repro.distributed.batchexchange",
             "repro.distributed.batchpeel"]
         for module in engine:
-            kernels = tracked_kernels(project, summaries, module)
+            # Top-level kernels plus opted-in "Class.method" ones (the only
+            # kind repro.core.tables declares).
+            kernels = parity_kernels(project, summaries, module, entries)
             assert kernels, module.name
             for fn in kernels:
                 assert fn.qualname in entries, fn.qualname
@@ -122,6 +125,14 @@ class TestMutations:
             "        np.subtract.at(self.counts, cells, amount)")
         result = analyze(SRC, overlay=overlay)
         assert any(f.rule == "PAR007" and "fetch_sub_many" in f.message
+                   for f in result.findings)
+
+    def test_dropping_the_bulk_table_insert_charge_breaks_parity(self):
+        overlay = self._mutated(
+            "core/tables.py", "self.tracker.add_probes(probes)\n"
+            "        return cells\n")
+        result = analyze(SRC, overlay=overlay)
+        assert any(f.rule == "PAR007" and "_insert_many" in f.message
                    for f in result.findings)
 
     def test_dropping_a_batchlist_charge_breaks_parity(self):
