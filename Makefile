@@ -12,10 +12,10 @@ test:
 	$(PYTHON) -m pytest tests/
 
 # Perf trajectory: run the pinned suite, the baseline (competitor)
-# suite, the hierarchy suite and the sharded suite under both engines
-# (plus the batch listing engine), gate against the committed baseline,
-# and refresh BENCH_nucleus.json (commit it when a perf PR moves the
-# numbers on purpose).
+# suite, the hierarchy suite and the sharded suite on the scalar oracle
+# kernels and on the batch kernels, gate against the committed baseline,
+# and refresh BENCH_nucleus.json (the oracle payload; commit it when a
+# perf PR moves the numbers on purpose).
 bench:
 	PYTHONPATH=src $(PYTHON) tools/bench_trajectory.py \
 		--engine-gate --min-listing-speedup 3 \

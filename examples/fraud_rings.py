@@ -57,8 +57,7 @@ def ring_drilldown(graph, result, rings) -> None:
     one of its transactions --- the "densest nucleus containing edge
     (u, v)" query, answered from the precomputed indexes.
     """
-    hierarchy = nucleus_hierarchy(graph, result, engine="batch",
-                                  listing_engine="batch")
+    hierarchy = nucleus_hierarchy(graph, result)
     index = HierarchyIndex(hierarchy)
     print("\nring drill-down via the nucleus query service "
           f"[{len(hierarchy)} nuclei, top level "

@@ -77,7 +77,6 @@ class NucleusHierarchy:
 def build_hierarchy(graph: CSRGraph, result: NucleusResult,
                     method: str = "union_find",
                     tracker: CostTracker | None = None,
-                    listing_engine: str | None = None,
                     s_cliques=None) -> NucleusHierarchy:
     """Refine a decomposition into the connected-nucleus hierarchy.
 
@@ -88,11 +87,11 @@ def build_hierarchy(graph: CSRGraph, result: NucleusResult,
     reproduction targets (it materializes the s-clique list, the
     space/connectivity work the paper's footnote 2 refers to).
 
-    The s-clique enumeration honors ``listing_engine`` (defaulting to the
-    decomposition's configured one), so a batch-configured run re-lists
-    with the frontier engine instead of always paying the scalar
-    recursion; alternatively pass ``s_cliques`` (an iterable of vertex
-    tuples) to skip the re-listing entirely.  This per-level rescan is
+    The s-clique enumeration goes through
+    :func:`~repro.cliques.listing.collect_cliques` (the frontier engine
+    unless ``tracker`` asks for the oracle); alternatively pass
+    ``s_cliques`` (an iterable of vertex tuples) to skip the re-listing
+    entirely.  This per-level rescan is
     the differential *oracle* for the level-batched engine in
     :mod:`repro.analysis.construct`, which is what production callers
     should use.
@@ -105,12 +104,9 @@ def build_hierarchy(graph: CSRGraph, result: NucleusResult,
     cliques = sorted(cores)
     index = {clique: i for i, clique in enumerate(cliques)}
     if s_cliques is None:
-        engine = listing_engine if listing_engine is not None \
-            else result.config.listing_engine
         dg, _ = orient(graph, "degeneracy", tracker)
         s_cliques = [tuple(sorted(int(x) for x in row))
-                     for row in collect_cliques(dg, s, tracker,
-                                                engine=engine)]
+                     for row in collect_cliques(dg, s, tracker)]
     else:
         s_cliques = [tuple(sorted(int(x) for x in clique))
                      for clique in s_cliques]

@@ -72,16 +72,39 @@ def hierarchy_to_payload(hierarchy: NucleusHierarchy) -> dict:
     }
 
 
+def _payload_field(record, name: str, where: str, kind: type):
+    """``record[name]``, or a ``ValueError`` naming the missing or
+    ill-typed field (``bool`` is not accepted as an ``int``)."""
+    if not isinstance(record, dict) or name not in record:
+        raise ValueError(f"hierarchy payload: {where} has no {name!r} field")
+    value = record[name]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"hierarchy payload: {where} field {name!r} must "
+                         f"be {kind.__name__}, got {value!r}")
+    return value
+
+
 def payload_to_hierarchy(payload: dict) -> NucleusHierarchy:
-    """Rebuild a :class:`NucleusHierarchy` from its payload dict."""
-    hierarchy = NucleusHierarchy(int(payload["r"]), int(payload["s"]))
-    for record in payload["nuclei"]:
+    """Rebuild a :class:`NucleusHierarchy` from its payload dict.
+
+    Raises ``ValueError`` naming the first missing or ill-typed field.
+    """
+    hierarchy = NucleusHierarchy(_payload_field(payload, "r", "top level", int),
+                                 _payload_field(payload, "s", "top level", int))
+    for i, record in enumerate(_payload_field(payload, "nuclei",
+                                              "top level", list)):
+        where = f"nuclei[{i}]"
+        members = _payload_field(record, "members", where, list)
+        if not all(isinstance(clique, list)
+                   and all(isinstance(v, int) and not isinstance(v, bool)
+                           for v in clique) for clique in members):
+            raise ValueError(f"hierarchy payload: {where} field 'members' "
+                             "must be a list of integer lists")
         hierarchy.nuclei.append(Nucleus(
-            level=int(record["level"]),
-            members=tuple(tuple(int(v) for v in clique)
-                          for clique in record["members"]),
-            node_id=int(record["node_id"]),
-            parent_id=int(record["parent_id"])))
+            level=_payload_field(record, "level", where, int),
+            members=tuple(tuple(clique) for clique in members),
+            node_id=_payload_field(record, "node_id", where, int),
+            parent_id=_payload_field(record, "parent_id", where, int)))
     return hierarchy
 
 

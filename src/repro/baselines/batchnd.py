@@ -1,4 +1,4 @@
-"""Vectorized ND/PND sub-frontier peel (``nd_decomposition(engine="batch")``).
+"""Vectorized ND/PND sub-frontier peel (the production ND/PND inner loop).
 
 The scalar oracle in :mod:`repro.baselines.nd` walks Python lists per
 peeled r-clique (incident s-cliques, then each s-clique's members); this

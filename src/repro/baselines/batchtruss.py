@@ -1,4 +1,4 @@
-"""Vectorized truss sub-rounds (``pkt_*``/``msp_decomposition(engine="batch")``).
+"""Vectorized truss sub-rounds (the production PKT/PKT-OPT-CPU/MSP body).
 
 The scalar oracles in :mod:`repro.baselines.pkt` and
 :mod:`repro.baselines.msp` walk one Python iteration per frontier edge,

@@ -13,7 +13,7 @@ per-edge charge stream depends only on the sub-round's starting state and
 the body is order-independent across frontier edges.  The body comes in
 two engines: the scalar oracle :func:`_msp_subround_scalar` and the
 vectorized :func:`repro.baselines.batchtruss.msp_subround_batch`
-(``engine="batch"``), with bit-for-bit simulated-cost parity enforced by
+(the production path), with bit-for-bit simulated-cost parity enforced by
 tests/test_batch_baselines.py and rule PAR007.
 """
 
@@ -25,17 +25,16 @@ from ..cliques.counting import edge_support
 from ..graph.csr import CSRGraph
 from ..parallel.atomics import ContentionMeter
 from ..parallel.primitives import intersect_sorted
-from ..parallel.runtime import CostTracker, _log2
+from ..parallel.runtime import CostTracker, _log2, use_batch
 from ..sanitize.racecheck import maybe_shadow
 from .common import BaselineResult
 
 
 def msp_decomposition(graph: CSRGraph,
-                      tracker: CostTracker | None = None,
-                      engine: str = "scalar") -> BaselineResult:
+                      tracker: CostTracker | None = None) -> BaselineResult:
     """MSP-style bulk-synchronous truss decomposition ((2,3) only)."""
     tracker = tracker or CostTracker()
-    use_batch = engine == "batch" and tracker.race_detector is None
+    batch = use_batch(tracker)
     with tracker.phase("count"):
         support = edge_support(graph, tracker)
         tracker.add_cliques(sum(support.values()) // 3)
@@ -55,7 +54,7 @@ def msp_decomposition(graph: CSRGraph,
     level = 0
     meter = ContentionMeter()
     log_degree = np.maximum(1.0, np.log2(np.maximum(2, graph.degrees)))
-    if use_batch:
+    if batch:
         from .batchtruss import build_edge_index, msp_subround_batch
         eidx = build_edge_index(edge_arr, graph.n)
 
@@ -77,7 +76,7 @@ def msp_decomposition(graph: CSRGraph,
                 tracker.add_round()
                 for i in frontier:
                     core[edges[int(i)]] = level
-                if use_batch:
+                if batch:
                     visits += msp_subround_batch(
                         frontier, graph, edge_arr, eidx, sup, alive,
                         log_degree, meter, tracker)

@@ -26,8 +26,8 @@ Within a sub-frontier the r-cliques still peel strictly one at a time in
 ascending id order --- one round and one sequential dependence per peel,
 which is the round blowup the paper measures.  The inner loop comes in
 two engines: the scalar oracle :func:`_peel_frontier_scalar` and the
-vectorized :func:`repro.baselines.batchnd.peel_frontier_batch`
-(``engine="batch"``), with bit-for-bit simulated-cost parity enforced by
+vectorized :func:`repro.baselines.batchnd.peel_frontier_batch` (the
+production path), with bit-for-bit simulated-cost parity enforced by
 tests/test_batch_baselines.py and rule PAR007.
 """
 
@@ -36,14 +36,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..parallel.runtime import CostTracker, _log2
+from ..parallel.runtime import CostTracker, _log2, use_batch
 from ..sanitize.racecheck import maybe_shadow
 from .common import BaselineResult, Incidence
 
 
 def _peel_one_at_a_time(graph: CSRGraph, r: int, s: int, name: str,
-                        parallel_updates: bool, tracker: CostTracker,
-                        engine: str = "scalar") -> BaselineResult:
+                        parallel_updates: bool,
+                        tracker: CostTracker) -> BaselineResult:
     with tracker.phase("count"):
         inc = Incidence(graph, r, s, tracker)
         # Their counting scans full neighborhoods; charge the degree-based
@@ -58,7 +58,7 @@ def _peel_one_at_a_time(graph: CSRGraph, r: int, s: int, name: str,
     # shadow them as plain accesses to let the race detector confirm it.
     counts = maybe_shadow(inc.initial_counts.copy(), tracker,
                           label="nd_counts")
-    use_batch = engine == "batch" and tracker.race_detector is None
+    batch = use_batch(tracker)
     s_alive = np.ones(inc.n_s, dtype=bool)
     alive = np.ones(inc.n_r, dtype=bool)
     # queued marks r-cliques that have already entered a sub-frontier, so
@@ -90,7 +90,7 @@ def _peel_one_at_a_time(graph: CSRGraph, r: int, s: int, name: str,
                 # is fully serial.
                 rounds += int(frontier.size)
                 remaining -= int(frontier.size)
-                if use_batch:
+                if batch:
                     from .batchnd import peel_frontier_batch
                     sub_visits, frontier = peel_frontier_batch(
                         frontier, inc, counts, alive, s_alive, queued,
@@ -148,18 +148,14 @@ def _peel_frontier_scalar(frontier, inc: Incidence, counts, alive, s_alive,
 
 
 def nd_decomposition(graph: CSRGraph, r: int, s: int,
-                     tracker: CostTracker | None = None,
-                     engine: str = "scalar") -> BaselineResult:
+                     tracker: CostTracker | None = None) -> BaselineResult:
     """Sariyuce et al.'s serial ND."""
     return _peel_one_at_a_time(graph, r, s, "ND", parallel_updates=False,
-                               tracker=tracker or CostTracker(),
-                               engine=engine)
+                               tracker=tracker or CostTracker())
 
 
 def pnd_decomposition(graph: CSRGraph, r: int, s: int,
-                      tracker: CostTracker | None = None,
-                      engine: str = "scalar") -> BaselineResult:
+                      tracker: CostTracker | None = None) -> BaselineResult:
     """Sariyuce et al.'s PND: parallel counting/updates, sequential peels."""
     return _peel_one_at_a_time(graph, r, s, "PND", parallel_updates=True,
-                               tracker=tracker or CostTracker(),
-                               engine=engine)
+                               tracker=tracker or CostTracker())

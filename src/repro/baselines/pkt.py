@@ -28,7 +28,7 @@ edges were processed (and re-skipped) once per duplicate, inflating
 frontier lengths.  The sub-round body comes in two engines: the scalar
 oracle :func:`_pkt_subround_scalar` and the vectorized
 :func:`repro.baselines.batchtruss.pkt_subround_batch`
-(``engine="batch"``), with bit-for-bit simulated-cost parity enforced by
+(the production path), with bit-for-bit simulated-cost parity enforced by
 tests/test_batch_baselines.py and rule PAR007.
 """
 
@@ -41,7 +41,7 @@ from ..cliques.orient import orient
 from ..graph.csr import CSRGraph
 from ..parallel.atomics import ContentionMeter
 from ..parallel.primitives import intersect_sorted
-from ..parallel.runtime import CostTracker, _log2
+from ..parallel.runtime import CostTracker, _log2, use_batch
 from ..sanitize.racecheck import maybe_shadow
 from .common import BaselineResult
 
@@ -51,10 +51,9 @@ _REORDER_ROUNDS = 40
 
 def _pkt_like(graph: CSRGraph, name: str, intersection_cost: float,
               eid_binary_search: bool, rescan_per_subround: bool = False,
-              tracker: CostTracker | None = None,
-              engine: str = "scalar") -> BaselineResult:
+              tracker: CostTracker | None = None) -> BaselineResult:
     tracker = tracker or CostTracker()
-    use_batch = engine == "batch" and tracker.race_detector is None
+    batch = use_batch(tracker)
     with tracker.phase("reorder"):
         dg, _ = orient(graph, "degree", tracker)
         # Multi-pass parallel sample sort: extra work plus one barrier per
@@ -66,7 +65,7 @@ def _pkt_like(graph: CSRGraph, name: str, intersection_cost: float,
         support = edge_support(graph, tracker, dg=dg)
         tracker.add_cliques(sum(support.values()) // 3)
     edges = list(support)
-    index = None if use_batch else {e: i for i, e in enumerate(edges)}
+    index = None if batch else {e: i for i, e in enumerate(edges)}
     edge_arr = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
     # Support decrements are the fetch-and-subs of the real PKT; shadow
     # them (mediated) when a race detector rides along on the tracker.
@@ -81,7 +80,7 @@ def _pkt_like(graph: CSRGraph, name: str, intersection_cost: float,
     level = 0
     meter = ContentionMeter()
     log_degree = np.maximum(1.0, np.log2(np.maximum(2, graph.degrees)))
-    if use_batch:
+    if batch:
         from .batchtruss import build_edge_index, pkt_subround_batch
         eidx = build_edge_index(edge_arr, graph.n)
 
@@ -106,7 +105,7 @@ def _pkt_like(graph: CSRGraph, name: str, intersection_cost: float,
                 for i in frontier:
                     core[edges[int(i)]] = level
                 remaining -= int(frontier.size)
-                if use_batch:
+                if batch:
                     sub_visits, cand = pkt_subround_batch(
                         frontier, graph, edge_arr, eidx, sup, alive, level,
                         intersection_cost, eid_binary_search, log_degree,
@@ -172,18 +171,15 @@ def _pkt_subround_scalar(frontier, graph: CSRGraph, edges, index, sup,
 
 
 def pkt_decomposition(graph: CSRGraph,
-                      tracker: CostTracker | None = None,
-                      engine: str = "scalar") -> BaselineResult:
+                      tracker: CostTracker | None = None) -> BaselineResult:
     """Kabir--Madduri PKT (parallel k-truss)."""
     return _pkt_like(graph, "PKT", intersection_cost=1.0,
                      eid_binary_search=True, rescan_per_subround=True,
-                     tracker=tracker, engine=engine)
+                     tracker=tracker)
 
 
-def pkt_opt_cpu_decomposition(graph: CSRGraph,
-                              tracker: CostTracker | None = None,
-                              engine: str = "scalar") -> BaselineResult:
+def pkt_opt_cpu_decomposition(
+        graph: CSRGraph, tracker: CostTracker | None = None) -> BaselineResult:
     """Che et al.'s PKT-OPT-CPU (eid arrays + hand-optimized intersections)."""
     return _pkt_like(graph, "PKT-OPT-CPU", intersection_cost=0.35,
-                     eid_binary_search=False, tracker=tracker,
-                     engine=engine)
+                     eid_binary_search=False, tracker=tracker)

@@ -62,14 +62,20 @@ def _load_graph(args):
     raise SystemExit("provide --input FILE or --dataset NAME")
 
 
-def _build_config(args) -> NucleusConfig:
+def _check_shards(args) -> None:
+    if args.shards is not None and args.shards < 1:
+        raise SystemExit(f"error: --shards must be >= 1, got {args.shards}")
+
+
+def _build_config(args, graph) -> NucleusConfig:
+    """The run's configuration; an impossible one (say r >= s) exits
+    with a one-line error instead of a traceback."""
     if getattr(args, "unoptimized", False):
         config = NucleusConfig.unoptimized()
     else:
         config = NucleusConfig.optimal(args.r, args.s)
     overrides = {}
-    for field in ("levels", "aggregation", "bucketing", "orientation",
-                  "engine", "listing_engine"):
+    for field in ("levels", "aggregation", "bucketing", "orientation"):
         value = getattr(args, field, None)
         if value is not None:
             overrides[field] = value
@@ -78,12 +84,16 @@ def _build_config(args) -> NucleusConfig:
     if overrides:
         from dataclasses import replace
         config = replace(config, **overrides)
+    try:
+        config.validated(graph.n, args.r, args.s)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
     return config
 
 
 def _cmd_decompose(args) -> int:
     graph, name = _load_graph(args)
-    config = _build_config(args)
+    config = _build_config(args, graph)
     tracker = CostTracker()
     result = arb_nucleus_decomp(graph, args.r, args.s, config, tracker)
     machine = MachineModel()
@@ -134,6 +144,7 @@ def _print_partition_quality(quality: dict, indent: str = "  ") -> None:
 
 
 def _cmd_stats(args) -> int:
+    _check_shards(args)
     graph, name = _load_graph(args)
     from .cliques.orient import degeneracy
     from .cliques.counting import triangle_count
@@ -248,9 +259,7 @@ def _cmd_bench(args) -> int:
     # Load the baseline up front: --output may name the same file.
     baseline = bench.load_payload(args.compare) if args.compare else None
     payload = bench.run_suite(threads=args.threads, label=args.label,
-                              progress=lambda msg: print(msg, flush=True),
-                              engine=args.engine,
-                              listing_engine=args.listing_engine)
+                              progress=lambda msg: print(msg, flush=True))
     bench.write_payload(payload, args.output)
     print(f"wrote {len(payload['suite'])} suite entries to {args.output}")
     if baseline is not None:
@@ -281,19 +290,20 @@ def _cmd_hierarchy(args) -> int:
     from .analysis import (HierarchyIndex, load_hierarchy_json,
                            nucleus_hierarchy, save_hierarchy_json)
     if args.load:
-        hierarchy = load_hierarchy_json(args.load)
+        try:
+            hierarchy = load_hierarchy_json(args.load)
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"error: {args.load}: {exc}") from None
         print(f"loaded ({hierarchy.r},{hierarchy.s}) hierarchy from "
               f"{args.load}: {len(hierarchy)} nuclei")
     else:
         if args.r is None or args.s is None:
             raise SystemExit("provide --r and --s (or --load FILE)")
         graph, name = _load_graph(args)
-        config = _build_config(args)
+        config = _build_config(args, graph)
         tracker = CostTracker()
         result = arb_nucleus_decomp(graph, args.r, args.s, config, tracker)
-        hierarchy = nucleus_hierarchy(graph, result, tracker,
-                                      engine=config.engine,
-                                      listing_engine=config.listing_engine)
+        hierarchy = nucleus_hierarchy(graph, result, tracker)
         machine = MachineModel()
         print(f"graph {name}: n={graph.n} m={graph.m}")
         print(f"({args.r},{args.s}) hierarchy: {len(hierarchy)} nuclei "
@@ -357,13 +367,16 @@ def _cmd_profile(args) -> int:
 
     With ``--shards`` the run is sharded and the written trace merges the
     coordinator's lanes with one lane group per shard, so the exchange
-    barriers between local peel rounds are visible.
+    barriers between local peel rounds are visible.  The run uses the
+    scalar oracle kernels: only they emit per-task trace slices (the
+    simulated costs are the same as the batch kernels').
     """
     from .machine.cache import CacheSimulator
     from .observe import TraceRecorder, format_breakdown, write_merged_trace
+    _check_shards(args)
     graph, name = _load_graph(args)
-    config = _build_config(args)
-    tracker = CostTracker()
+    config = _build_config(args, graph)
+    tracker = CostTracker(oracle=True)
     tracker.cache = CacheSimulator()
     tracker.trace = TraceRecorder(task_limit=args.task_limit)
     machine = MachineModel()
@@ -399,22 +412,22 @@ def _cmd_shard(args) -> int:
     from .distributed import DistributedMachineModel, sharded_nucleus_decomp
     from .graph.stats import partition_statistics
     from .observe import TraceRecorder, write_merged_trace
+    _check_shards(args)
     graph, name = _load_graph(args)
+    config = _build_config(args, graph)
     tracker = CostTracker()
     if args.trace:
         tracker.trace = TraceRecorder()
     result = sharded_nucleus_decomp(graph, args.r, args.s, args.shards,
                                     partitioner=args.partitioner,
-                                    tracker=tracker,
-                                    exchange_engine=args.exchange_engine)
+                                    config=config, tracker=tracker)
     quality = partition_statistics(graph, result.partition.shard_of,
                                    args.shards, s=args.s)
     machine = DistributedMachineModel(MachineModel())
     breakdown = machine.time_breakdown(result, args.threads)
     print(f"graph {name}: n={graph.n} m={graph.m}")
     print(f"({args.r},{args.s}) sharded decomposition on {args.shards} "
-          f"shard(s) [{args.partitioner} partitioner, "
-          f"{args.exchange_engine} exchange]:")
+          f"shard(s) [{args.partitioner} partitioner]:")
     print(f"  r-cliques: {result.n_r_cliques}  "
           f"s-cliques: {result.n_s_cliques}")
     print(f"  peeling rounds (rho): {result.rho}  "
@@ -482,13 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["degeneracy", "goodrich_pszona",
                             "barenboim_elkin", "degree"],
                    help="O(alpha)-orientation algorithm")
-    p.add_argument("--engine", choices=["scalar", "batch"],
-                   help="peeling implementation (batch: vectorized, "
-                        "identical simulated costs)")
-    p.add_argument("--listing-engine", choices=["scalar", "batch"],
-                   dest="listing_engine",
-                   help="clique-listing implementation (batch: frontier "
-                        "engine, identical simulated costs)")
     p.add_argument("--no-relabel", action="store_true",
                    help="disable orientation-order relabeling")
     p.set_defaults(func=_cmd_decompose)
@@ -567,12 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="relative regression tolerance (default 0.05)")
     p.add_argument("--threads", type=int, default=60,
                    help="parallel thread count for the T column")
-    p.add_argument("--engine", choices=["scalar", "batch"],
-                   default="scalar",
-                   help="peeling implementation for the whole suite")
-    p.add_argument("--listing-engine", choices=["scalar", "batch"],
-                   dest="listing_engine", default="scalar",
-                   help="clique-listing implementation for the whole suite")
     p.add_argument("--label", default="",
                    help="free-form label stored in the payload")
     p.set_defaults(func=_cmd_bench)
@@ -587,12 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="named surrogate dataset")
     p.add_argument("--r", type=int)
     p.add_argument("--s", type=int)
-    p.add_argument("--engine", choices=["scalar", "batch"],
-                   help="level-sweep kernel (batch: vectorized, "
-                        "identical simulated costs)")
-    p.add_argument("--listing-engine", choices=["scalar", "batch"],
-                   dest="listing_engine",
-                   help="s-clique listing implementation")
     p.add_argument("-o", "--output",
                    help="write the hierarchy as JSON")
     p.add_argument("--load", metavar="FILE",
@@ -649,10 +643,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partitioner", choices=["hash", "mincut"],
                    default="mincut",
                    help="vertex partitioner (default: mincut)")
-    p.add_argument("--exchange-engine", choices=["scalar", "batch"],
-                   dest="exchange_engine", default="batch",
-                   help="cross-shard exchange kernel (batch: vectorized, "
-                        "identical simulated costs)")
     p.add_argument("--threads", type=int, default=60,
                    help="thread count per shard for the time model")
     p.add_argument("--verify", action="store_true",

@@ -1,4 +1,4 @@
-"""The vectorized frontier clique-listing engine (``listing_engine="batch"``).
+"""The vectorized frontier clique-listing engine (the production lister).
 
 :mod:`repro.cliques.listing` runs REC-LIST-CLIQUES (Algorithm 1) as a
 per-vertex Python recursion with one callback per discovered clique ---

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..graph.csr import DirectedGraph
 from ..parallel.primitives import intersect_sorted
-from ..parallel.runtime import CostTracker, _log2
+from ..parallel.runtime import CostTracker, _log2, use_batch
 
 
 def rec_list_cliques(dg: DirectedGraph, candidates: np.ndarray, levels: int,
@@ -90,10 +90,9 @@ def list_cliques(dg: DirectedGraph, c: int, f,
 
 
 def count_cliques(dg: DirectedGraph, c: int,
-                  tracker: CostTracker | None = None,
-                  engine: str = "scalar") -> int:
+                  tracker: CostTracker | None = None) -> int:
     """Count c-cliques without materializing them."""
-    if engine == "batch":
+    if use_batch(tracker):
         from .batchlist import batch_list_cliques
         return batch_list_cliques(dg, c, tracker)
     counter = [0]
@@ -158,17 +157,17 @@ class _CliqueBuffer:
 
 
 def collect_cliques(dg: DirectedGraph, c: int,
-                    tracker: CostTracker | None = None,
-                    engine: str = "scalar") -> np.ndarray:
+                    tracker: CostTracker | None = None) -> np.ndarray:
     """All c-cliques as an (count, c) array, rows in discovery order.
 
     Each row's vertices appear in orientation-rank order (ascending ids iff
-    the graph was relabeled by rank, Section 5.4).  With ``engine="batch"``
-    the frontier engine (:mod:`repro.cliques.batchlist`) fills the buffer
-    block-wise; simulated charges are identical either way.
+    the graph was relabeled by rank, Section 5.4).  The frontier engine
+    (:mod:`repro.cliques.batchlist`) fills the buffer block-wise unless
+    :func:`~repro.parallel.runtime.use_batch` picks the scalar recursion;
+    simulated charges are identical either way.
     """
     buffer = _CliqueBuffer(c, tracker)
-    if engine == "batch":
+    if use_batch(tracker):
         from .batchlist import batch_list_cliques
         batch_list_cliques(dg, c, tracker, sink=buffer.extend)
     else:

@@ -1,4 +1,4 @@
-"""Vectorized k-core bucket peel (``k_core(engine="batch")``).
+"""Vectorized k-core bucket peel (the production k-core peel).
 
 The scalar Matula--Beck loop in :mod:`repro.core.kcore` walks one Python
 iteration per bucket entry and per neighbor; this engine processes each

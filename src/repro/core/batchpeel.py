@@ -1,4 +1,4 @@
-"""The vectorized batch peeling engine (``NucleusConfig(engine="batch")``).
+"""The vectorized batch peeling engine (the production peel).
 
 The scalar peel loop in :mod:`repro.core.decomp` executes one Python-level
 ``decode`` / intersection / ``combinations`` chain per peeled r-clique; on
@@ -34,9 +34,10 @@ step in :func:`_run_round`.  The sharded driver's batch local round
 swaps only the apply step.
 
 The engine requires plain ndarray peeling state, so
-:func:`~repro.core.decomp.arb_nucleus_decomp` falls back to the scalar
-oracle when a race detector is attached (shadow arrays and per-task
-ownership only exist there).
+:func:`~repro.core.decomp.arb_nucleus_decomp` runs the scalar oracle
+instead whenever :func:`~repro.parallel.runtime.use_batch` says so (an
+oracle tracker, or a race detector: shadow arrays and per-task ownership
+only exist there).
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from typing import NamedTuple
 import numpy as np
 
 from ..cliques.batchlist import expand_cliques
-from ..cliques.listing import rec_list_cliques
 from ..parallel.primitives import intersect_many, interleave_segments
 from ..parallel.runtime import CostTracker, _log2
 
@@ -90,7 +90,6 @@ PARLINT_PARITY = {
             "add_work_int": 3,
             "expand_cliques": 1,
             "intersect_many": 1,
-            "rec_list_cliques": 1,
         },
     },
     "_run_round": {
@@ -116,11 +115,6 @@ def peel_batch(*, graph, dg, working, table, buckets, aggregator, meter,
     comb_cols = np.asarray(list(combinations(range(s), r)), dtype=np.int64)
     task_span = _log2(graph.n) * (s - r + 1)
     cache_on = tracker.cache is not None
-    # With listing_engine="batch", UPDATE completions run through the
-    # frontier engine instead of re-entering the scalar recursion per
-    # peeled clique (same race-detector fallback as the engines).
-    listing_batch = (config.listing_engine == "batch"
-                     and tracker.race_detector is None)
     finished = 0
     rho = 0
     round_id = 0
@@ -142,7 +136,7 @@ def peel_batch(*, graph, dg, working, table, buckets, aggregator, meter,
         with tracker.parallel(int(peel_cells.size)) as region:
             _run_round(peel_cells, comb_cols, dg, working, table, aggregator,
                        status, last_round, round_id, fractional, cache_on,
-                       config.threads, r, s, tracker, listing_batch)
+                       config.threads, r, s, tracker)
             region.task_span(task_span)
 
         meter.settle(tracker)
@@ -213,8 +207,8 @@ class ClassifiedRound(NamedTuple):
 
 
 def rediscover_round(peel_cells, comb_cols, dg, working, table, status,
-                     fractional, cache_on, r, s, tracker,
-                     listing_batch: bool = False) -> ClassifiedRound | None:
+                     fractional, cache_on, r, s,
+                     tracker) -> ClassifiedRound | None:
     """UPDATE's rediscover-and-classify half for a whole round, batched.
 
     Decodes every peeled cell, rediscovers the incident s-cliques, probes
@@ -250,7 +244,7 @@ def rediscover_round(peel_cells, comb_cols, dg, working, table, status,
             rows[:, r] = np.concatenate(
                 [c for c in candidates if c.size]).astype(np.int64)
         row_task = np.repeat(np.arange(n_tasks, dtype=np.int64), sizes)
-    elif listing_batch:
+    else:
         # Frontier expansion over every eligible task at once; tasks whose
         # candidate set cannot complete an s-clique are skipped without
         # charge, exactly like the scalar loop's early continue.
@@ -265,20 +259,6 @@ def rediscover_round(peel_cells, comb_cols, dg, working, table, status,
                                        cand_lens, s - r, tracker)
         rows = rows.reshape(-1, s)
         row_task = eligible[base_of]
-    else:
-        found: list[tuple] = []
-        task_of: list[int] = []
-        for t in range(n_tasks):
-            cand = candidates[t]
-            if cand.size < s - r:
-                continue
-            base = tuple(int(x) for x in cliques[t])
-            before = len(found)
-            rec_list_cliques(dg, cand, s - r, base, found.append, tracker)
-            task_of.extend([t] * (len(found) - before))
-        rows = np.asarray(found, dtype=np.int64).reshape(-1, s)
-        row_task = np.asarray(task_of, dtype=np.int64)
-
     n_rows = rows.shape[0]
     n_combs = comb_cols.shape[0]
     route_work, route_probes, route_len = table.route_charge_profile()
@@ -346,12 +326,12 @@ def rediscover_round(peel_cells, comb_cols, dg, working, table, status,
 
 def _run_round(peel_cells, comb_cols, dg, working, table, aggregator,
                status, last_round, round_id, fractional, cache_on, threads,
-               r, s, tracker, listing_batch: bool = False) -> None:
+               r, s, tracker) -> None:
     """One round's worth of UPDATE calls, batched (Algorithm 2 lines 13-18):
     :func:`rediscover_round`, then the single-node apply step."""
     classified = rediscover_round(peel_cells, comb_cols, dg, working,
                                   table, status, fractional, cache_on, r,
-                                  s, tracker, listing_batch)
+                                  s, tracker)
     if classified is None:
         return
     update_cells = classified.update_cells

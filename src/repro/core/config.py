@@ -55,19 +55,6 @@ class NucleusConfig:
         Block size of the list buffer.
     bucket_window:
         Number of low buckets Julienne materializes at once.
-    engine:
-        ``"scalar"`` -- the per-clique peeling loop (the oracle);
-        ``"batch"`` -- the NumPy-vectorized batch peeling engine, which
-        charges the identical simulated costs in closed form per peeled
-        bucket (see docs/cost-model.md) but runs much faster on the host.
-    listing_engine:
-        ``"scalar"`` -- REC-LIST-CLIQUES as the per-vertex Python
-        recursion (the oracle); ``"batch"`` -- the level-synchronous
-        frontier engine of :mod:`repro.cliques.batchlist`, used by the
-        count phase and (with ``engine="batch"``) the UPDATE completions
-        during peeling.  Same bit-for-bit cost-parity contract as
-        ``engine`` (see docs/cost-model.md); falls back to scalar when a
-        race detector is attached.
     """
 
     levels: int = 2
@@ -83,8 +70,6 @@ class NucleusConfig:
     threads: int = 60
     buffer_size: int = 64
     bucket_window: int = 64
-    engine: str = "scalar"
-    listing_engine: str = "scalar"
 
     @classmethod
     def unoptimized(cls) -> "NucleusConfig":
@@ -115,13 +100,12 @@ class NucleusConfig:
         """
         if not 1 <= r < s:
             raise ValueError(f"need 1 <= r < s, got r={r}, s={s}")
-        if self.engine not in ("scalar", "batch"):
-            raise ValueError(f"unknown engine {self.engine!r}; "
-                             "options: 'scalar', 'batch'")
-        if self.listing_engine not in ("scalar", "batch"):
-            raise ValueError(f"unknown listing_engine "
-                             f"{self.listing_engine!r}; "
-                             "options: 'scalar', 'batch'")
+        if self.update_arithmetic not in ("fractional", "representative"):
+            raise ValueError(f"unknown update_arithmetic "
+                             f"{self.update_arithmetic!r}; options: "
+                             "'fractional', 'representative'")
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.contraction and (r, s) != (2, 3):
             raise ValueError("graph contraction only applies to (2,3) "
                              "nucleus decomposition (Section 5.6)")

@@ -36,7 +36,7 @@ from ..graph.relabel import relabel_by_rank
 from ..machine.cache import AddressSpace
 from ..parallel.atomics import ContentionMeter
 from ..parallel.primitives import intersect_many
-from ..parallel.runtime import CostTracker, _log2
+from ..parallel.runtime import CostTracker, _log2, use_batch
 from ..sanitize.racecheck import maybe_shadow
 from .aggregation import make_aggregator
 from .batchpeel import peel_batch
@@ -129,10 +129,6 @@ class PreparedDecomposition:
     table: CliqueTable
     n_r: int
     n_s: int
-    #: The listing engine actually used (falls back to ``"scalar"`` when a
-    #: race detector is attached; peeling drivers should honor the same
-    #: choice for their UPDATE completions).
-    listing_engine: str
 
 
 def prepare_decomposition(graph: CSRGraph, r: int, s: int,
@@ -160,20 +156,14 @@ def prepare_decomposition(graph: CSRGraph, r: int, s: int,
         work_rank = rank
     dg = DirectedGraph.orient(work_graph, work_rank)
 
-    # The frontier listing engine charges identical simulated costs but
-    # bypasses the per-task shadow logging the race detector needs; fall
-    # back to the oracle recursion when one is attached (same rule as the
-    # peeling engine).
-    listing_engine = config.listing_engine
-    if listing_engine == "batch" and tracker.race_detector is not None:
-        listing_engine = "scalar"
+    batch = use_batch(tracker)
 
     # -- Phase 2: enumerate r-cliques and build T (line 21).
     with tracker.phase("enumerate_r"):
         if r == 1:
             n_r = graph.n
             cliques = np.arange(graph.n, dtype=np.int64)[:, np.newaxis]
-        elif listing_engine == "batch":
+        elif batch:
             blocks: list[np.ndarray] = []
             n_r = batch_list_cliques(dg, r, tracker, sink=blocks.append)
             cliques = np.concatenate(blocks, axis=0)
@@ -195,19 +185,17 @@ def prepare_decomposition(graph: CSRGraph, r: int, s: int,
 
     if n_r == 0:
         return PreparedDecomposition(config, tracker, work_graph, dg,
-                                     original_of, table, 0, 0,
-                                     listing_engine)
+                                     original_of, table, 0, 0)
 
     # -- Phase 3: count s-cliques per r-clique (COUNT-FUNC, line 22).
     relabeled = config.relabel
     with tracker.phase("count_s"):
-        if listing_engine == "batch":
+        if batch:
             n_s = batch_count_phase(dg, table, r, s, relabeled, tracker)
         else:
             n_s = _count_scalar(dg, table, r, s, relabeled, tracker)
     return PreparedDecomposition(config, tracker, work_graph, dg,
-                                 original_of, table, n_r, n_s,
-                                 listing_engine)
+                                 original_of, table, n_r, n_s)
 
 
 def arb_nucleus_decomp(graph: CSRGraph, r: int, s: int,
@@ -265,14 +253,8 @@ def arb_nucleus_decomp(graph: CSRGraph, r: int, s: int,
         contraction = ContractionManager(working, tracker)
 
     fractional = config.update_arithmetic == "fractional"
-    engine = config.engine
-    if engine == "batch" and tracker.race_detector is not None:
-        # The race detector relies on per-task shadow-array accesses that
-        # only the scalar loop performs; fall back to the oracle.
-        engine = "scalar"
-
     with tracker.phase("peel"):
-        if engine == "batch":
+        if use_batch(tracker):
             rho, max_core, round_log = peel_batch(
                 graph=graph, dg=dg, working=working, table=table,
                 buckets=buckets, aggregator=aggregator, meter=meter,

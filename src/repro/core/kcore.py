@@ -5,8 +5,8 @@ offers both routes:
 
 * :func:`k_core` -- a direct bucket-peeling implementation (Matula--Beck),
   the classic O(n + m) algorithm, with a scalar oracle loop and a
-  vectorized batch engine (``engine="batch"``) that reproduces the
-  oracle's simulated costs bit for bit;
+  vectorized batch engine that reproduces the oracle's simulated costs
+  bit for bit;
 * :func:`k_core_via_nucleus` -- the same answer through the full
   ARB-NUCLEUS-DECOMP machinery, useful for cross-checking and for
   consistent cost accounting.
@@ -29,31 +29,29 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..parallel.runtime import CostTracker, _log2
+from ..parallel.runtime import CostTracker, _log2, use_batch
 from .config import NucleusConfig
 from .decomp import arb_nucleus_decomp
 
 
-def k_core(graph: CSRGraph, tracker: CostTracker | None = None,
-           engine: str = "scalar") -> np.ndarray:
+def k_core(graph: CSRGraph,
+           tracker: CostTracker | None = None) -> np.ndarray:
     """Coreness of every vertex by direct bucket peeling (O(n + m)).
 
-    ``engine="batch"`` runs the vectorized peel
-    (:func:`repro.core.batchcore.k_core_peel_batch`); simulated charges
-    are bit-for-bit identical to the scalar oracle's.  The batch engine
-    needs plain ndarray state, so a tracker carrying a race detector
-    falls back to the scalar loop.
+    Runs the vectorized peel
+    (:func:`repro.core.batchcore.k_core_peel_batch`) unless
+    :func:`~repro.parallel.runtime.use_batch` picks the scalar oracle;
+    simulated charges are bit-for-bit identical either way.
     """
     tracker = tracker or CostTracker()
     n = graph.n
     core = np.zeros(n, dtype=np.int64)
     if n == 0:
         return core
-    use_batch = engine == "batch" and tracker.race_detector is None
     with tracker.phase("peel"):
         # Initial bucket fill: one pass over the degree array.
         tracker.add_work(float(n))
-        if use_batch:
+        if use_batch(tracker):
             from .batchcore import k_core_peel_batch
             k_core_peel_batch(graph, core, tracker)
         else:

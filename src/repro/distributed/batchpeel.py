@@ -1,4 +1,4 @@
-"""The sharded driver's batch local round (``NucleusConfig(engine="batch")``).
+"""The sharded driver's batch local round (the production local round).
 
 :func:`local_round_batch` is the vectorized twin of the scalar local round
 (:func:`repro.distributed.peel._local_round`): one shard's UPDATE work for
@@ -165,8 +165,7 @@ class ExchangeBuffer:
 def local_round_batch(shard: int, mine: np.ndarray, comb_cols: np.ndarray,
                       r: int, s: int, graph_n: int, table, dg, working,
                       status, owner_of, ledger: UpdateLedger,
-                      outbox: ExchangeBuffer, listing_batch: bool,
-                      tracker: CostTracker) -> None:
+                      outbox: ExchangeBuffer, tracker: CostTracker) -> None:
     """One shard's local peel work for one super-round, batched.
 
     Same phase, round, region and charges as the scalar
@@ -178,7 +177,7 @@ def local_round_batch(shard: int, mine: np.ndarray, comb_cols: np.ndarray,
         with tracker.parallel(int(mine.size)) as region:
             classified = rediscover_round(
                 mine, comb_cols, dg, working, table, status, False, False,
-                r, s, tracker, listing_batch)
+                r, s, tracker)
             if classified is not None:
                 cells = classified.update_cells
                 owned = owner_of[cells] == shard

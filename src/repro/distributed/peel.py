@@ -45,7 +45,7 @@ from ..core.tables import CliqueTable
 from ..graph.contraction import WorkingGraph
 from ..graph.csr import CSRGraph
 from ..observe.trace import TraceRecorder
-from ..parallel.runtime import CostTracker, _log2
+from ..parallel.runtime import CostTracker, _log2, use_batch
 from ..sanitize.racecheck import maybe_shadow
 from .batchexchange import exchange_batch
 from .batchpeel import ExchangeBuffer, UpdateLedger, local_round_batch
@@ -76,7 +76,6 @@ class ShardedResult(CoreReport):
     shard_trackers: list[CostTracker]
     partition: Partition
     config: NucleusConfig
-    exchange_engine: str
     #: Per-round trace: (core level, r-cliques peeled, r-cliques updated).
     round_log: list[tuple[int, int, int]] = field(default_factory=list)
     #: Per-round exchange record: round / level / messages / bytes.
@@ -175,7 +174,7 @@ def _local_round(shard: int, mine: np.ndarray, r: int, s: int, graph_n: int,
 
 
 def _exchange_round(sts, outboxes, owner_of, ledger,
-                    engine: str) -> tuple[int, int]:
+                    batch: bool) -> tuple[int, int]:
     """Run the batched exchange for every shard's outbox.
 
     Every shard's ``exchange`` phase is open for the duration (the BSP
@@ -189,7 +188,7 @@ def _exchange_round(sts, outboxes, owner_of, ledger,
             stack.enter_context(st.phase("exchange"))
         for src, outbox in enumerate(outboxes):
             cells, deltas = outbox.drain()
-            if engine == "batch":
+            if batch:
                 messages, n_bytes = exchange_batch(
                     cells, deltas, owner_of, ledger, sts, sts[src])
             else:
@@ -202,10 +201,10 @@ def _exchange_round(sts, outboxes, owner_of, ledger,
 
 def _peel_sharded(graph_n: int, dg, working, table, buckets, ledger,
                   outboxes, status, cores, owner_of, sts,
-                  tracker: CostTracker, n_r: int, r: int, s: int,
-                  engine: str, listing_batch: bool, exchange_engine: str):
+                  tracker: CostTracker, n_r: int, r: int, s: int):
     """The BSP super-round loop (the sharded Algorithm 2, lines 23-29)."""
     n_shards = len(sts)
+    batch = use_batch(tracker)
     comb_cols = np.asarray(list(combinations(range(s), r)), dtype=np.int64)
     finished = 0
     rho = 0
@@ -232,18 +231,17 @@ def _peel_sharded(graph_n: int, dg, working, table, buckets, ledger,
             if mine.size == 0:
                 continue
             table.tracker = sts[shard]
-            if engine == "batch":
+            if batch:
                 local_round_batch(shard, mine, comb_cols, r, s, graph_n,
                                   table, dg, working, status, owner_of,
-                                  ledger, outboxes[shard], listing_batch,
-                                  sts[shard])
+                                  ledger, outboxes[shard], sts[shard])
             else:
                 _local_round(shard, mine, r, s, graph_n, table, dg, working,
                              status, owner_of, ledger, outboxes[shard],
                              sts[shard])
         table.tracker = None
         messages, n_bytes = _exchange_round(sts, outboxes, owner_of, ledger,
-                                            exchange_engine)
+                                            batch)
         exchange_log.append({"round": round_id, "level": int(level),
                              "messages": messages, "bytes": n_bytes})
         round_compute.append(
@@ -264,7 +262,6 @@ def sharded_nucleus_decomp(graph: CSRGraph, r: int, s: int, n_shards: int,
                            partitioner: str = "mincut",
                            config: NucleusConfig | None = None,
                            tracker: CostTracker | None = None,
-                           exchange_engine: str = "batch",
                            partition: Partition | None = None
                            ) -> ShardedResult:
     """Compute the (r, s) nucleus decomposition on ``n_shards`` nodes.
@@ -277,13 +274,13 @@ def sharded_nucleus_decomp(graph: CSRGraph, r: int, s: int, n_shards: int,
 
     ``update_arithmetic`` is forced to ``"representative"`` (exact
     integer deltas commute across shards) and ``contraction`` off (a
-    shared-memory-only optimization).  ``config.engine == "batch"``
-    selects the vectorized local round
-    (:func:`~repro.distributed.batchpeel.local_round_batch`, oracle
-    :func:`_local_round`; scalar again when a race detector is attached)
-    and ``config.listing_engine`` its s-clique expansion, exactly as on
-    one node; ``exchange_engine`` picks the exchange kernel
-    (``"batch"``, oracle ``"scalar"``).
+    shared-memory-only optimization).  The local round and the exchange
+    run their batch kernels
+    (:func:`~repro.distributed.batchpeel.local_round_batch` and
+    :func:`~repro.distributed.batchexchange.exchange_batch`) unless
+    :func:`~repro.parallel.runtime.use_batch` picks the scalar oracles
+    (:func:`_local_round`, :func:`_exchange_scalar`) for ``tracker``;
+    the shard trackers inherit its ``oracle`` flag and race detector.
     """
     if n_shards < 1:
         raise ValueError("n_shards must be >= 1")
@@ -307,7 +304,8 @@ def sharded_nucleus_decomp(graph: CSRGraph, r: int, s: int, n_shards: int,
 
     shard_trackers = [CostTracker() for _ in range(n_shards)]
     shard_traces = None
-    for k, st in enumerate(shard_trackers):
+    for st in shard_trackers:
+        st.oracle = tracker.oracle
         st.race_detector = tracker.race_detector
     if tracker.trace is not None:
         shard_traces = [TraceRecorder(task_limit=tracker.trace.task_limit,
@@ -319,7 +317,7 @@ def sharded_nucleus_decomp(graph: CSRGraph, r: int, s: int, n_shards: int,
     if n_r == 0:
         return ShardedResult(
             r, s, n_shards, 0, 0, 0, 0, tracker, shard_trackers, partition,
-            config, exchange_engine, [], [], [], 0, 0, shard_traces,
+            config, [], [], [], 0, 0, shard_traces,
             np.array([], dtype=np.int64), np.array([], dtype=np.int64),
             table, original_of)
 
@@ -348,17 +346,11 @@ def sharded_nucleus_decomp(graph: CSRGraph, r: int, s: int, n_shards: int,
     # Per-shard charges are explicit during peeling; the table's own
     # tracker is re-pointed at the active shard inside each local round.
     table.tracker = None
-    engine = config.engine
-    if engine == "batch" and tracker.race_detector is not None:
-        # Same fallback as arb_nucleus_decomp: the race detector relies on
-        # per-task shadow-array accesses only the scalar round performs.
-        engine = "scalar"
     with tracker.phase("peel"):
         rho, max_core, round_log, exchange_log, round_compute = \
             _peel_sharded(graph.n, dg, working, table, buckets, ledger,
                           outboxes, status, cores, owner_of, shard_trackers,
-                          tracker, n_r, r, s, engine,
-                          prep.listing_engine == "batch", exchange_engine)
+                          tracker, n_r, r, s)
 
     table.tracker = None  # post-run queries should not keep charging
     order = np.argsort(cells, kind="stable")
@@ -366,7 +358,7 @@ def sharded_nucleus_decomp(graph: CSRGraph, r: int, s: int, n_shards: int,
         r=r, s=s, n_shards=n_shards, n_r_cliques=n_r, n_s_cliques=n_s,
         rho=rho, max_core=max_core, tracker=tracker,
         shard_trackers=shard_trackers, partition=partition, config=config,
-        exchange_engine=exchange_engine, round_log=round_log,
+        round_log=round_log,
         exchange_log=exchange_log, round_compute=round_compute,
         comm_messages=sum(st.total.comm_messages for st in shard_trackers),
         comm_bytes=sum(st.total.comm_bytes for st in shard_trackers),

@@ -1,7 +1,5 @@
 """Simulated machine components (cache model, address space)."""
 
 from .cache import AddressSpace, CacheSimulator
-from .setstore import MultiLevelSetStore, flat_memory_units
 
-__all__ = ["CacheSimulator", "AddressSpace", "MultiLevelSetStore",
-           "flat_memory_units"]
+__all__ = ["CacheSimulator", "AddressSpace"]

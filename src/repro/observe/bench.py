@@ -23,7 +23,6 @@ regression can be localized, not just detected.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 from ..analysis.construct import nucleus_hierarchy
 from ..baselines.msp import msp_decomposition
@@ -118,6 +117,11 @@ def baseline_entry_key(entry: dict) -> str:
     return f"{entry['baseline']}@{entry['graph']}"
 
 
+def _tag(oracle: bool) -> str:
+    """Progress-line suffix marking an oracle run."""
+    return " [oracle]" if oracle else ""
+
+
 def hierarchy_entry_key(entry: dict) -> str:
     return f"hier:{entry['graph']}({entry['r']},{entry['s']})"
 
@@ -130,32 +134,28 @@ def sharded_entry_key(entry: dict) -> str:
 def run_entry(graph_name: str, r: int, s: int,
               machine: MachineModel | None = None,
               threads: int = BENCH_THREADS,
-              engine: str = "scalar",
-              listing_engine: str = "scalar") -> dict:
+              oracle: bool = False) -> dict:
     """Run one pinned decomposition and extract its canonical metrics.
 
-    ``engine`` selects the peeling implementation and ``listing_engine``
-    the clique-listing one; by the batch engines' cost-parity invariant
-    (docs/cost-model.md) every *simulated* metric in the payload is
-    engine-independent --- only the ``wall_clock`` section (host seconds
-    per phase, outside the machine model) and the ``engine`` /
-    ``listing_engine`` tags may differ, and none is in
-    :data:`COMPARED_METRICS`.
+    ``oracle`` runs the scalar oracle kernels instead of the batch ones
+    (:attr:`CostTracker.oracle`); by the kernels' cost-parity invariant
+    (docs/cost-model.md) every *simulated* metric in the payload is the
+    same either way --- only the ``wall_clock`` section (host seconds per
+    phase, outside the machine model) and the ``oracle`` tag may differ,
+    and neither is in :data:`COMPARED_METRICS`.
     """
     machine = machine or MachineModel()
     graph = load_dataset(graph_name)
-    tracker = CostTracker()
+    tracker = CostTracker(oracle=oracle)
     tracker.cache = CacheSimulator()  # exact: sample=1
-    config = replace(NucleusConfig.optimal(r, s), engine=engine,
-                     listing_engine=listing_engine)
-    result = arb_nucleus_decomp(graph, r, s, config, tracker)
+    result = arb_nucleus_decomp(graph, r, s, NucleusConfig.optimal(r, s),
+                                tracker)
     t1 = machine.time(tracker, 1)
     tp = machine.time(tracker, threads)
     breakdown = machine.time_breakdown(tracker, threads)
     return {
         "graph": graph_name, "r": r, "s": s,
-        "engine": engine,
-        "listing_engine": listing_engine,
+        "oracle": oracle,
         "wall_clock": {
             "total": sum(tracker.phase_wall.values()),
             **{name: seconds
@@ -185,8 +185,7 @@ def run_suite(machine: MachineModel | None = None,
               threads: int = BENCH_THREADS,
               suite: tuple[tuple[str, int, int], ...] | None = None,
               label: str = "", progress=None,
-              engine: str = "scalar",
-              listing_engine: str = "scalar") -> dict:
+              oracle: bool = False) -> dict:
     """Run the pinned suite; returns the canonical JSON payload (a dict)."""
     if suite is None:
         suite = PINNED_SUITE  # resolved at call time (tests shrink it)
@@ -194,18 +193,15 @@ def run_suite(machine: MachineModel | None = None,
     entries = []
     for graph_name, r, s in suite:
         if progress is not None:
-            progress(f"bench: {graph_name} ({r},{s}) "
-                     f"[{engine}/{listing_engine}]")
+            progress(f"bench: {graph_name} ({r},{s}){_tag(oracle)}")
         entries.append(run_entry(graph_name, r, s, machine, threads,
-                                 engine=engine,
-                                 listing_engine=listing_engine))
+                                 oracle=oracle))
     from dataclasses import asdict
     return {
         "schema": SCHEMA_VERSION,
         "label": label,
         "threads": threads,
-        "engine": engine,
-        "listing_engine": listing_engine,
+        "oracle": oracle,
         "machine": asdict(machine),
         "suite": entries,
     }
@@ -214,38 +210,38 @@ def run_suite(machine: MachineModel | None = None,
 def run_baseline_entry(name: str, graph_name: str,
                        machine: MachineModel | None = None,
                        threads: int = BENCH_THREADS,
-                       engine: str = "scalar") -> dict:
+                       oracle: bool = False) -> dict:
     """Run one pinned baseline and extract its canonical metrics.
 
-    Mirrors :func:`run_entry`: by the batch engines' cost-parity
-    invariant, every *simulated* metric is engine-independent --- only
-    ``wall_clock`` and the ``engine`` tag may differ.
+    Mirrors :func:`run_entry`: by the kernels' cost-parity invariant,
+    every *simulated* metric is the same with or without ``oracle`` ---
+    only ``wall_clock`` and the ``oracle`` tag may differ.
     """
     machine = machine or MachineModel()
     graph = load_dataset(graph_name)
-    tracker = CostTracker()
+    tracker = CostTracker(oracle=oracle)
     tracker.cache = CacheSimulator()  # exact: sample=1
     if name == "nd":
-        nd_decomposition(graph, 2, 3, tracker, engine=engine)
+        nd_decomposition(graph, 2, 3, tracker)
     elif name == "pnd":
-        pnd_decomposition(graph, 2, 3, tracker, engine=engine)
+        pnd_decomposition(graph, 2, 3, tracker)
     elif name == "pkt":
-        pkt_decomposition(graph, tracker, engine=engine)
+        pkt_decomposition(graph, tracker)
     elif name == "pkt-opt-cpu":
-        pkt_opt_cpu_decomposition(graph, tracker, engine=engine)
+        pkt_opt_cpu_decomposition(graph, tracker)
     elif name == "msp":
-        msp_decomposition(graph, tracker, engine=engine)
+        msp_decomposition(graph, tracker)
     elif name == "kcore":
-        k_core(graph, tracker, engine=engine)
+        k_core(graph, tracker)
     elif name == "densest":
-        k_clique_densest(graph, 3, tracker, engine=engine)
+        k_clique_densest(graph, 3, tracker)
     else:
         raise ValueError(f"unknown baseline {name!r}")
     t1 = machine.time(tracker, 1)
     tp = machine.time(tracker, threads)
     return {
         "baseline": name, "graph": graph_name,
-        "engine": engine,
+        "oracle": oracle,
         "hot_phase": BASELINE_HOT_PHASE[name],
         "wall_clock": {
             "total": sum(tracker.phase_wall.values()),
@@ -274,7 +270,7 @@ def run_baseline_suite(machine: MachineModel | None = None,
                        threads: int = BENCH_THREADS,
                        suite: tuple[tuple[str, str], ...] | None = None,
                        progress=None,
-                       engine: str = "scalar") -> list[dict]:
+                       oracle: bool = False) -> list[dict]:
     """Run the pinned baseline suite; returns the entry list (stored
     under the main payload's ``"baselines"`` key by the trajectory
     tool)."""
@@ -284,40 +280,36 @@ def run_baseline_suite(machine: MachineModel | None = None,
     entries = []
     for name, graph_name in suite:
         if progress is not None:
-            progress(f"bench baseline: {name} @ {graph_name} [{engine}]")
+            progress(f"bench baseline: {name} @ {graph_name}{_tag(oracle)}")
         entries.append(run_baseline_entry(name, graph_name, machine,
-                                          threads, engine=engine))
+                                          threads, oracle=oracle))
     return entries
 
 
 def run_hierarchy_entry(graph_name: str, r: int, s: int,
                         machine: MachineModel | None = None,
                         threads: int = BENCH_THREADS,
-                        engine: str = "scalar",
-                        listing_engine: str = "scalar") -> dict:
+                        oracle: bool = False) -> dict:
     """Run one pinned hierarchy construction; canonical metrics.
 
     The decomposition feeding the hierarchy runs on a throwaway tracker
     so the entry's simulated metrics cover hierarchy construction only.
-    Mirrors :func:`run_entry`: by the hierarchy engines' cost-parity
-    invariant every simulated metric is engine-independent --- only
-    ``wall_clock`` and the engine tags may differ.
+    Mirrors :func:`run_entry`: by the hierarchy kernels' cost-parity
+    invariant every simulated metric is the same with or without
+    ``oracle`` --- only ``wall_clock`` and the ``oracle`` tag may differ.
     """
     machine = machine or MachineModel()
     graph = load_dataset(graph_name)
-    config = replace(NucleusConfig.optimal(r, s), engine=engine,
-                     listing_engine=listing_engine)
-    result = arb_nucleus_decomp(graph, r, s, config, CostTracker())
-    tracker = CostTracker()
+    result = arb_nucleus_decomp(graph, r, s, NucleusConfig.optimal(r, s),
+                                CostTracker(oracle=oracle))
+    tracker = CostTracker(oracle=oracle)
     tracker.cache = CacheSimulator()  # exact: sample=1
-    hierarchy = nucleus_hierarchy(graph, result, tracker, engine=engine,
-                                  listing_engine=listing_engine)
+    hierarchy = nucleus_hierarchy(graph, result, tracker)
     t1 = machine.time(tracker, 1)
     tp = machine.time(tracker, threads)
     return {
         "graph": graph_name, "r": r, "s": s,
-        "engine": engine,
-        "listing_engine": listing_engine,
+        "oracle": oracle,
         "hot_phase": HIERARCHY_HOT_PHASE,
         "wall_clock": {
             "total": sum(tracker.phase_wall.values()),
@@ -346,8 +338,7 @@ def run_hierarchy_suite(machine: MachineModel | None = None,
                         threads: int = BENCH_THREADS,
                         suite: tuple[tuple[str, int, int], ...] | None = None,
                         progress=None,
-                        engine: str = "scalar",
-                        listing_engine: str = "scalar") -> list[dict]:
+                        oracle: bool = False) -> list[dict]:
     """Run the pinned hierarchy suite; returns the entry list (stored
     under the main payload's ``"hierarchy"`` key by the trajectory
     tool)."""
@@ -357,20 +348,17 @@ def run_hierarchy_suite(machine: MachineModel | None = None,
     entries = []
     for graph_name, r, s in suite:
         if progress is not None:
-            progress(f"bench hierarchy: {graph_name} ({r},{s}) "
-                     f"[{engine}/{listing_engine}]")
+            progress(f"bench hierarchy: {graph_name} ({r},{s})"
+                     f"{_tag(oracle)}")
         entries.append(run_hierarchy_entry(graph_name, r, s, machine,
-                                           threads, engine=engine,
-                                           listing_engine=listing_engine))
+                                           threads, oracle=oracle))
     return entries
 
 
 def run_sharded_entry(graph_name: str, r: int, s: int, shards: int,
                       machine: MachineModel | None = None,
                       threads: int = BENCH_THREADS,
-                      exchange_engine: str = "batch",
-                      engine: str = "scalar",
-                      listing_engine: str = "scalar") -> dict:
+                      oracle: bool = False) -> dict:
     """Run one pinned sharded decomposition under both partitioners.
 
     The entry records, per partitioner, the simulated communication
@@ -379,12 +367,11 @@ def run_sharded_entry(graph_name: str, r: int, s: int, shards: int,
     ``comm_reduction`` (hash comm time over mincut comm time --- the
     quantity the engine gate's ``--min-comm-reduction`` floor pins), and
     ``speedup`` (single-node simulated time over the mincut distributed
-    time).  ``engine`` selects the local round (and the single-node
-    reference's peel), ``listing_engine`` the clique listing.  By the
-    engines' cost-parity invariants every simulated metric is
-    engine-independent --- only ``wall_clock`` (whose ``local_peel``
-    field sums both partitioners' shard local-round seconds) and the
-    engine tags may differ.
+    time).  ``oracle`` runs the scalar oracle kernels for the sharded
+    runs and the single-node reference.  By the kernels' cost-parity
+    invariants every simulated metric is the same either way --- only
+    ``wall_clock`` (whose ``local_peel`` field sums both partitioners'
+    shard local-round seconds) and the ``oracle`` tag may differ.
     """
     # Imported here: repro.distributed pulls in repro.observe.trace, so a
     # module-level import would be circular through the package __init__.
@@ -392,9 +379,8 @@ def run_sharded_entry(graph_name: str, r: int, s: int, shards: int,
     machine = machine or MachineModel()
     distributed = DistributedMachineModel(machine)
     graph = load_dataset(graph_name)
-    config = replace(NucleusConfig.optimal(r, s), engine=engine,
-                     listing_engine=listing_engine)
-    single_tracker = CostTracker()
+    config = NucleusConfig.optimal(r, s)
+    single_tracker = CostTracker(oracle=oracle)
     reference = arb_nucleus_decomp(graph, r, s, config,
                                    tracker=single_tracker)
     single_time = machine.time(single_tracker, threads)
@@ -406,7 +392,7 @@ def run_sharded_entry(graph_name: str, r: int, s: int, shards: int,
     for name in ("hash", "mincut"):
         result = sharded_nucleus_decomp(graph, r, s, shards,
                                         partitioner=name, config=config,
-                                        exchange_engine=exchange_engine)
+                                        tracker=CostTracker(oracle=oracle))
         quality = partition_statistics(graph, result.partition.shard_of,
                                        shards, s=s)
         per_partitioner[name] = {
@@ -437,9 +423,7 @@ def run_sharded_entry(graph_name: str, r: int, s: int, shards: int,
             float("inf")
     return {
         "graph": graph_name, "r": r, "s": s, "shards": shards,
-        "exchange_engine": exchange_engine,
-        "engine": engine,
-        "listing_engine": listing_engine,
+        "oracle": oracle,
         "wall_clock": {"total": wall, "local_peel": local_peel},
         "n_r": mincut_result.n_r_cliques, "n_s": mincut_result.n_s_cliques,
         "rho": mincut_result.rho, "max_core": mincut_result.max_core,
@@ -462,9 +446,7 @@ def run_sharded_suite(machine: MachineModel | None = None,
                       suite: tuple[tuple[str, int, int, int], ...]
                       | None = None,
                       progress=None,
-                      exchange_engine: str = "batch",
-                      engine: str = "scalar",
-                      listing_engine: str = "scalar") -> list[dict]:
+                      oracle: bool = False) -> list[dict]:
     """Run the pinned sharded suite; returns the entry list (stored under
     the main payload's ``"sharded"`` key by the trajectory tool)."""
     if suite is None:
@@ -473,14 +455,10 @@ def run_sharded_suite(machine: MachineModel | None = None,
     entries = []
     for graph_name, r, s, shards in suite:
         if progress is not None:
-            progress(f"bench sharded: {graph_name} ({r},{s}) x{shards} "
-                     f"[{engine}/{listing_engine}, {exchange_engine} "
-                     f"exchange]")
+            progress(f"bench sharded: {graph_name} ({r},{s}) x{shards}"
+                     f"{_tag(oracle)}")
         entries.append(run_sharded_entry(graph_name, r, s, shards, machine,
-                                         threads,
-                                         exchange_engine=exchange_engine,
-                                         engine=engine,
-                                         listing_engine=listing_engine))
+                                         threads, oracle=oracle))
     return entries
 
 
@@ -506,8 +484,8 @@ def compare(current: dict, baseline: dict,
     the baseline but missing from the current run are regressions;
     entries new in the current run are not.  The optional ``"baselines"``
     section (the competitor suite) is compared the same way, but only
-    when both payloads record it (the engine gate's listing payload,
-    for example, carries no baseline section).
+    when both payloads record it (a plain ``repro bench`` payload, for
+    example, carries no baseline section).
     """
     regressions = []
     sections = (("suite", entry_key), ("baselines", baseline_entry_key),

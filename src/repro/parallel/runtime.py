@@ -191,14 +191,19 @@ class CostTracker:
       when attached, phases, parallel regions, and tasks report their
       begin/end to it so a Chrome-trace timeline can be exported
       (accounting is unchanged).
+    * ``oracle`` -- run the scalar oracle kernels instead of the batch
+      kernels (see :func:`use_batch`); the simulated charges are
+      identical either way, only host time and per-task trace detail
+      differ.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, oracle: bool = False) -> None:
         self.total = PhaseStats()
         self.phases: dict[str, PhaseStats] = {}
         self.cache = None  # optional CacheSimulator
         self.race_detector = None  # optional sanitize.RaceDetector
         self.trace = None  # optional observe.TraceRecorder
+        self.oracle = oracle
         self.peak_memory_units = 0
         #: Measured wall-clock seconds per phase (host time, *not* part of
         #: the simulated-machine model; see docs/profiling.md).
@@ -508,6 +513,19 @@ class CostTracker:
             out["cache_accesses"] = self.cache.accesses
             out["cache_misses"] = self.cache.misses
         return out
+
+
+def use_batch(tracker: CostTracker | None) -> bool:
+    """Whether a kernel charging ``tracker`` runs its batch form.
+
+    The one dispatch rule of every batch/scalar kernel pair: batch is the
+    production path; the scalar oracle runs when ``tracker.oracle`` is set
+    (the differential tests, the engine gate, ``repro profile``'s per-task
+    trace lanes) or a race detector is attached (only the scalar loops
+    make the per-task shadow-array accesses it checks).
+    """
+    return tracker is None or not (tracker.oracle
+                                   or tracker.race_detector is not None)
 
 
 @dataclass

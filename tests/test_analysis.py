@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.analysis import (core_level_subgraph, core_spectrum,
-                            density_profile, load_result_json,
+                            density_profile, hierarchy_to_payload,
+                            load_result_json, nucleus_hierarchy,
                             nucleus_members, overlap_matrix,
-                            result_to_records, save_result_json)
+                            payload_to_hierarchy, result_to_records,
+                            save_result_json)
 from repro.core.decomp import arb_nucleus_decomp
 from repro.graph.generators import figure1_graph, planted_partition
 
@@ -123,6 +125,39 @@ class TestSerialization:
         assert loaded["rho"] == 3
         assert loaded["cores"] == fig1_result.as_dict()
         assert loaded["stats"]["work"] > 0
+
+    def test_hierarchy_payload_round_trip(self):
+        graph = figure1_graph()
+        hierarchy = nucleus_hierarchy(graph, arb_nucleus_decomp(graph, 2, 3))
+        rebuilt = payload_to_hierarchy(hierarchy_to_payload(hierarchy))
+        assert rebuilt.nuclei == hierarchy.nuclei
+
+    @pytest.mark.parametrize("field", ["level", "node_id", "parent_id",
+                                       "members"])
+    def test_hierarchy_payload_names_missing_field(self, field):
+        graph = figure1_graph()
+        payload = hierarchy_to_payload(
+            nucleus_hierarchy(graph, arb_nucleus_decomp(graph, 2, 3)))
+        del payload["nuclei"][1][field]
+        with pytest.raises(ValueError, match=rf"nuclei\[1\].*'{field}'"):
+            payload_to_hierarchy(payload)
+
+    @pytest.mark.parametrize("payload,field", [
+        ({"s": 3, "nuclei": []}, "'r'"),
+        ({"r": 2, "s": 3}, "'nuclei'"),
+        ({"r": "2", "s": 3, "nuclei": []}, "'r'"),
+        ({"r": 2, "s": 3, "nuclei": [{"level": 1.5, "node_id": 0,
+                                      "parent_id": -1, "members": []}]},
+         "'level'"),
+        ({"r": 2, "s": 3, "nuclei": [{"level": 1, "node_id": 0,
+                                      "parent_id": -1,
+                                      "members": [[0, "x"]]}]},
+         "'members'"),
+        ([1, 2], "'r'"),
+    ])
+    def test_hierarchy_payload_rejects_ill_typed(self, payload, field):
+        with pytest.raises(ValueError, match=field):
+            payload_to_hierarchy(payload)
 
     def test_records(self, fig1_result):
         records = result_to_records(fig1_result)

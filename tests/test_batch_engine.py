@@ -1,19 +1,26 @@
 """Differential tests: the batch peeling engine vs the scalar oracle.
 
 The batch engine's contract (docs/cost-model.md) is *exact* cost parity:
-for any graph and configuration, ``engine="batch"`` must produce the same
-core numbers, the same round log, and bit-for-bit identical simulated
-metrics --- work, span, rounds, atomics, contention, table probes, and
-cache misses --- as ``engine="scalar"``.  These tests sweep (r, s) pairs,
+for any graph and configuration, a default tracker (the batch kernels)
+must produce the same core numbers, the same round log, and bit-for-bit
+identical simulated metrics --- work, span, rounds, atomics, contention,
+table probes, and cache misses --- as ``CostTracker(oracle=True)`` (the
+scalar kernels).  These tests sweep (r, s) pairs,
 aggregation/bucketing/table layouts, update arithmetic, and cache
-simulation, comparing the two engines run for run.
+simulation, comparing the two paths run for run.
 """
 
 import numpy as np
 import pytest
 
+import repro.analysis.construct as construct
+import repro.core.decomp as decomp
+import repro.distributed.peel as peel
+from repro.analysis.construct import nucleus_hierarchy
 from repro.core.config import NucleusConfig
 from repro.core.decomp import arb_nucleus_decomp
+from repro.core.kcore import k_core
+from repro.distributed import sharded_nucleus_decomp
 from repro.graph.generators import erdos_renyi, planted_partition
 from repro.machine.cache import CacheSimulator
 from repro.parallel.runtime import CostTracker
@@ -44,9 +51,8 @@ def _config_for(name: str, r: int, s: int) -> NucleusConfig:
     return config
 
 
-def _run(graph, r, s, config, engine, cache=False, detector=False):
-    config = NucleusConfig(**{**config.__dict__, "engine": engine})
-    tracker = CostTracker()
+def _run(graph, r, s, config, oracle, cache=False, detector=False):
+    tracker = CostTracker(oracle=oracle)
     if cache:
         tracker.cache = CacheSimulator(sample=1)
     if detector:
@@ -64,8 +70,8 @@ def _run(graph, r, s, config, engine, cache=False, detector=False):
 
 
 def assert_engines_agree(graph, r, s, config, cache=False):
-    scalar, m_scalar = _run(graph, r, s, config, "scalar", cache)
-    batch, m_batch = _run(graph, r, s, config, "batch", cache)
+    scalar, m_scalar = _run(graph, r, s, config, True, cache)
+    batch, m_batch = _run(graph, r, s, config, False, cache)
     assert m_scalar == m_batch
     assert scalar.rho == batch.rho
     assert scalar.max_core == batch.max_core
@@ -121,23 +127,43 @@ class TestEngineParity:
 
 class TestEngineSelection:
     def test_unknown_engine_rejected(self, fig1):
-        with pytest.raises(ValueError, match="unknown engine"):
-            arb_nucleus_decomp(fig1, 2, 3,
-                               NucleusConfig(engine="turbo"))
+        """Kernel choice is not a keyword: ``engine`` raises instead of
+        being ignored."""
+        with pytest.raises(TypeError, match="engine"):
+            NucleusConfig(engine="batch")
+        with pytest.raises(TypeError, match="engine"):
+            k_core(fig1, CostTracker(), engine="batch")
 
     def test_batch_falls_back_under_race_detector(self, fig1):
         """A race detector forces the scalar oracle; results still match a
-        plain scalar run."""
+        plain oracle run."""
         config = NucleusConfig.optimal(2, 3)
-        plain, _ = _run(fig1, 2, 3, config, "scalar")
-        checked, _ = _run(fig1, 2, 3, config, "batch", detector=True)
+        plain, _ = _run(fig1, 2, 3, config, True)
+        checked, _ = _run(fig1, 2, 3, config, False, detector=True)
         assert plain.rho == checked.rho
         assert np.array_equal(plain._cores, checked._cores)
 
-    def test_engine_recorded_in_config(self, fig1):
-        result = arb_nucleus_decomp(
-            fig1, 2, 3, NucleusConfig(engine="batch"))
-        assert result.config.engine == "batch"
+    def test_default_is_batch_and_oracle_is_scalar(self, fig1, monkeypatch):
+        """The default tracker never enters a scalar kernel; an oracle
+        tracker reaches each one (single-node peel, hierarchy level
+        sweep, sharded local round)."""
+        def _scalar_called(*_args, **_kwargs):
+            raise AssertionError("scalar kernel called")
+
+        for module, name in ((decomp, "_peel_scalar"),
+                             (construct, "_levels_scalar"),
+                             (peel, "_local_round")):
+            monkeypatch.setattr(module, name, _scalar_called)
+        result = arb_nucleus_decomp(fig1, 2, 3)
+        nucleus_hierarchy(fig1, result)
+        sharded_nucleus_decomp(fig1, 2, 3, 2)
+        with pytest.raises(AssertionError, match="scalar kernel"):
+            arb_nucleus_decomp(fig1, 2, 3, tracker=CostTracker(oracle=True))
+        with pytest.raises(AssertionError, match="scalar kernel"):
+            nucleus_hierarchy(fig1, result, CostTracker(oracle=True))
+        with pytest.raises(AssertionError, match="scalar kernel"):
+            sharded_nucleus_decomp(fig1, 2, 3, 2,
+                                   tracker=CostTracker(oracle=True))
 
 
 class TestCountFuncSortCharge:

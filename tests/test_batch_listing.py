@@ -1,18 +1,20 @@
 """Differential tests: the batch listing engine vs the scalar recursion.
 
 The frontier engine's contract (docs/cost-model.md) mirrors the batch
-peeling engine's: for any graph, ``listing_engine="batch"`` must discover
-the same cliques in the same order and charge bit-for-bit identical
-simulated costs --- work (both bins), span, rounds, atomics, contention,
-table probes, cliques, and cache misses --- as the scalar oracle, whether
-it runs standalone, inside the count phase, or inside the batch peeling
-engine's UPDATE path.
+peeling engine's: for any graph, the frontier engine (the default) must
+discover the same cliques in the same order and charge bit-for-bit
+identical simulated costs --- work (both bins), span, rounds, atomics,
+contention, table probes, cliques, and cache misses --- as the scalar
+recursion a ``CostTracker(oracle=True)`` runs, whether it runs
+standalone, inside the count phase, or inside the batch peeling engine's
+UPDATE path.
 """
 
 import numpy as np
 import pytest
 
-import repro.core.batchpeel as batchpeel
+import repro.cliques.listing as listing
+import repro.core.decomp as decomp
 from repro.cliques.batchlist import batch_list_cliques, expand_cliques
 from repro.cliques.counting import (edge_support, per_vertex_clique_counts,
                                     total_clique_count)
@@ -50,7 +52,7 @@ class TestListingKernelParity:
     @pytest.mark.parametrize("method", ORIENTATIONS)
     def test_counts_and_charges(self, community60, c, method):
         dg, _ = orient(community60, method)
-        t_scalar, t_batch = CostTracker(), CostTracker()
+        t_scalar, t_batch = CostTracker(oracle=True), CostTracker()
         n_scalar = count_cliques(dg, c, t_scalar)
         n_batch = batch_list_cliques(dg, c, t_batch)
         assert n_scalar == n_batch
@@ -62,9 +64,9 @@ class TestListingKernelParity:
         """Block emission preserves the scalar DFS discovery order
         row for row, and the buffer-backed collector charges alike."""
         dg, _ = orient(sparse100, method)
-        t_scalar, t_batch = CostTracker(), CostTracker()
+        t_scalar, t_batch = CostTracker(oracle=True), CostTracker()
         rows_scalar = collect_cliques(dg, c, t_scalar)
-        rows_batch = collect_cliques(dg, c, t_batch, engine="batch")
+        rows_batch = collect_cliques(dg, c, t_batch)
         assert rows_scalar.shape == rows_batch.shape
         assert np.array_equal(rows_scalar, rows_batch)
         assert _metrics(t_scalar) == _metrics(t_batch)
@@ -74,9 +76,9 @@ class TestListingKernelParity:
         the same amortized-doubling copy charges."""
         graph = complete_graph(14)  # C(14,3) = 364 > the 256-row buffer
         dg, _ = orient(graph)
-        t_scalar, t_batch = CostTracker(), CostTracker()
+        t_scalar, t_batch = CostTracker(oracle=True), CostTracker()
         rows_scalar = collect_cliques(dg, 3, t_scalar)
-        rows_batch = collect_cliques(dg, 3, t_batch, engine="batch")
+        rows_batch = collect_cliques(dg, 3, t_batch)
         assert rows_scalar.shape[0] == 364
         assert np.array_equal(rows_scalar, rows_batch)
         assert _metrics(t_scalar) == _metrics(t_batch)
@@ -111,19 +113,17 @@ class TestListingKernelParity:
 class TestCountingParity:
     @pytest.mark.parametrize("c", [3, 4])
     def test_total_clique_count(self, community60, c):
-        t_scalar, t_batch = CostTracker(), CostTracker()
+        t_scalar, t_batch = CostTracker(oracle=True), CostTracker()
         n_scalar = total_clique_count(community60, c, tracker=t_scalar)
-        n_batch = total_clique_count(community60, c, tracker=t_batch,
-                                     engine="batch")
+        n_batch = total_clique_count(community60, c, tracker=t_batch)
         assert n_scalar == n_batch
         assert _metrics(t_scalar) == _metrics(t_batch)
 
     @pytest.mark.parametrize("c", [3, 4])
     def test_per_vertex_counts(self, community60, c):
-        t_scalar, t_batch = CostTracker(), CostTracker()
+        t_scalar, t_batch = CostTracker(oracle=True), CostTracker()
         scalar = per_vertex_clique_counts(community60, c, tracker=t_scalar)
-        batch = per_vertex_clique_counts(community60, c, tracker=t_batch,
-                                         engine="batch")
+        batch = per_vertex_clique_counts(community60, c, tracker=t_batch)
         assert np.array_equal(scalar, batch)
         assert _metrics(t_scalar) == _metrics(t_batch)
 
@@ -163,14 +163,13 @@ class TestCountingParity:
 
 # -- end to end through the decomposition ------------------------------------
 
-def _run_decomp(graph, r, s, engine, listing_engine, orientation,
-                relabel, cache=False, detector=False):
+def _run_decomp(graph, r, s, oracle, orientation, relabel, cache=False,
+                detector=False):
     config = NucleusConfig(**{
         **NucleusConfig.optimal(r, s).__dict__,
-        "engine": engine, "listing_engine": listing_engine,
         "orientation": orientation, "relabel": relabel,
         "contraction": False})
-    tracker = CostTracker()
+    tracker = CostTracker(oracle=oracle)
     if cache:
         tracker.cache = CacheSimulator(sample=1)
     if detector:
@@ -179,12 +178,11 @@ def _run_decomp(graph, r, s, engine, listing_engine, orientation,
     return result, _metrics(tracker)
 
 
-def assert_listing_engines_agree(graph, r, s, orientation, relabel,
-                                 engine="scalar", cache=False):
-    scalar, m_scalar = _run_decomp(graph, r, s, engine, "scalar",
-                                   orientation, relabel, cache)
-    batch, m_batch = _run_decomp(graph, r, s, engine, "batch",
-                                 orientation, relabel, cache)
+def assert_oracle_agrees(graph, r, s, orientation, relabel, cache=False):
+    scalar, m_scalar = _run_decomp(graph, r, s, True, orientation, relabel,
+                                   cache)
+    batch, m_batch = _run_decomp(graph, r, s, False, orientation, relabel,
+                                 cache)
     assert m_scalar == m_batch
     assert scalar.n_r_cliques == batch.n_r_cliques
     assert scalar.n_s_cliques == batch.n_s_cliques
@@ -195,38 +193,39 @@ def assert_listing_engines_agree(graph, r, s, orientation, relabel,
 
 
 class TestDecompListingParity:
+    """The whole decomposition, oracle tracker vs default tracker, across
+    the orientation and relabeling choices that change the listers'
+    discovery order."""
+
     @pytest.mark.parametrize("rs", RS_PAIRS)
     @pytest.mark.parametrize("orientation", ORIENTATIONS)
     @pytest.mark.parametrize("relabel", [True, False])
     def test_scalar_peel(self, sparse100, rs, orientation, relabel):
         r, s = rs
-        assert_listing_engines_agree(sparse100, r, s, orientation, relabel)
+        assert_oracle_agrees(sparse100, r, s, orientation, relabel)
 
     @pytest.mark.parametrize("rs", RS_PAIRS)
     @pytest.mark.parametrize("relabel", [True, False])
     def test_batch_peel(self, community60, rs, relabel):
-        """engine="batch" + listing_engine="batch": the UPDATE path also
-        runs through the frontier engine."""
+        """A clique-rich graph: the batch UPDATE path expands many
+        s-cliques per peeled r-clique through the frontier engine."""
         r, s = rs
-        assert_listing_engines_agree(community60, r, s, "goodrich_pszona",
-                                     relabel, engine="batch")
+        assert_oracle_agrees(community60, r, s, "goodrich_pszona", relabel)
 
     @pytest.mark.parametrize("rs", [(2, 3), (2, 4), (3, 4)])
     def test_cache_stream_parity(self, rs):
         """The order-sensitive cache simulator sees the identical address
-        stream from both listing engines."""
+        stream from both listers."""
         graph = erdos_renyi(50, 220, seed=11)
         r, s = rs
-        for engine in ("scalar", "batch"):
-            assert_listing_engines_agree(graph, r, s, "goodrich_pszona",
-                                         False, engine=engine, cache=True)
+        assert_oracle_agrees(graph, r, s, "goodrich_pszona", False,
+                             cache=True)
 
     def test_all_batch_vs_all_scalar(self, community60):
         """Fully batched run reproduces the fully scalar run exactly."""
-        scalar, m_scalar = _run_decomp(community60, 2, 4, "scalar",
-                                       "scalar", "goodrich_pszona", True,
-                                       cache=True)
-        batch, m_batch = _run_decomp(community60, 2, 4, "batch", "batch",
+        scalar, m_scalar = _run_decomp(community60, 2, 4, True,
+                                       "goodrich_pszona", True, cache=True)
+        batch, m_batch = _run_decomp(community60, 2, 4, False,
                                      "goodrich_pszona", True, cache=True)
         assert m_scalar == m_batch
         assert scalar.round_log == batch.round_log
@@ -235,36 +234,32 @@ class TestDecompListingParity:
 
 class TestListingEngineSelection:
     def test_unknown_listing_engine_rejected(self, fig1):
-        with pytest.raises(ValueError, match="unknown listing_engine"):
-            arb_nucleus_decomp(fig1, 2, 3,
-                               NucleusConfig(listing_engine="turbo"))
-
-    def test_listing_engine_recorded_in_config(self, fig1):
-        result = arb_nucleus_decomp(
-            fig1, 2, 3, NucleusConfig(listing_engine="batch"))
-        assert result.config.listing_engine == "batch"
+        """Kernel choice is not a keyword: ``listing_engine`` /
+        ``engine`` raise instead of being ignored."""
+        with pytest.raises(TypeError, match="listing_engine"):
+            NucleusConfig(listing_engine="batch")
+        dg, _ = orient(fig1)
+        with pytest.raises(TypeError, match="engine"):
+            collect_cliques(dg, 3, CostTracker(), engine="batch")
 
     def test_falls_back_under_race_detector(self, fig1):
         """A race detector forces the scalar recursion; results still
-        match a plain scalar run."""
-        plain, _ = _run_decomp(fig1, 2, 3, "scalar", "scalar",
-                               "goodrich_pszona", True)
-        checked, _ = _run_decomp(fig1, 2, 3, "batch", "batch",
-                                 "goodrich_pszona", True, detector=True)
+        match a plain oracle run."""
+        plain, _ = _run_decomp(fig1, 2, 3, True, "goodrich_pszona", True)
+        checked, _ = _run_decomp(fig1, 2, 3, False, "goodrich_pszona",
+                                 True, detector=True)
         assert plain.rho == checked.rho
         assert np.array_equal(plain._cores, checked._cores)
 
     def test_no_scalar_recursion_during_batch_peel(self, community60,
                                                    monkeypatch):
-        """Acceptance criterion: with both batch engines, peeling never
-        re-enters rec_list_cliques."""
+        """A default run (enumerate, count and peel) never enters the
+        scalar recursion rec_list_cliques."""
         def _forbidden(*_args, **_kwargs):
             raise AssertionError(
-                "rec_list_cliques called during batch peeling")
+                "rec_list_cliques called on the batch path")
 
-        monkeypatch.setattr(batchpeel, "rec_list_cliques", _forbidden)
-        config = NucleusConfig(**{
-            **NucleusConfig.optimal(2, 4).__dict__,
-            "engine": "batch", "listing_engine": "batch"})
-        result = arb_nucleus_decomp(community60, 2, 4, config)
+        monkeypatch.setattr(listing, "rec_list_cliques", _forbidden)
+        monkeypatch.setattr(decomp, "rec_list_cliques", _forbidden)
+        result = arb_nucleus_decomp(community60, 2, 4)
         assert result.n_s_cliques > 0  # the (2,4) run really listed cliques

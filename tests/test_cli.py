@@ -65,6 +65,43 @@ class TestDecompose:
         assert len(outputs) == 1
 
 
+class TestOneLineErrors:
+    """Bad input ends in ``error: ...`` and exit status 1, not a
+    traceback."""
+
+    @staticmethod
+    def _error(argv) -> str:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert isinstance(info.value.code, str)
+        assert info.value.code.startswith("error: ")
+        return info.value.code
+
+    def test_decompose_infeasible_rs(self, graph_file):
+        assert "need 1 <= r < s" in self._error(
+            ["decompose", "--input", graph_file, "--r", "3", "--s", "2"])
+
+    @pytest.mark.parametrize("command", [
+        ["shard", "--r", "2", "--s", "3"],
+        ["profile", "--r", "2", "--s", "3"],
+        ["stats"]])
+    def test_shard_zero_shards(self, graph_file, command):
+        assert "--shards" in self._error(
+            command + ["--input", graph_file, "--shards", "0"])
+
+    def test_hierarchy_record_missing_level(self, tmp_path):
+        path = tmp_path / "hier.json"
+        path.write_text('{"r": 2, "s": 3, "nuclei": [{"node_id": 0, '
+                        '"parent_id": -1, "members": [[0, 1]]}]}')
+        message = self._error(["hierarchy", "--load", str(path)])
+        assert "'level'" in message and str(path) in message
+
+    def test_hierarchy_not_json(self, tmp_path):
+        path = tmp_path / "hier.json"
+        path.write_text("0 1\n1 2\n")
+        assert str(path) in self._error(["hierarchy", "--load", str(path)])
+
+
 class TestGenerate:
     def test_rmat(self, tmp_path, capsys):
         out_path = tmp_path / "g.txt"
@@ -137,6 +174,23 @@ class TestProfile:
         assert loaded["traceEvents"]
         assert all(e.get("dur", 0) >= 0 for e in loaded["traceEvents"]
                    if e["ph"] == "X")
+
+    def test_traces_the_oracle_tasks(self, graph_file, tmp_path):
+        """Per-task slices come only from the scalar oracle loops, so the
+        profile must carry more than the batch path's region events."""
+        import json
+
+        from repro.core.decomp import arb_nucleus_decomp
+        from repro.observe import TraceRecorder
+        from repro.parallel.runtime import CostTracker
+        trace = tmp_path / "trace.json"
+        assert main(["profile", "--input", graph_file, "--r", "2",
+                     "--s", "3", "-o", str(trace)]) == 0
+        events = json.loads(trace.read_text())["traceEvents"]
+        batch = CostTracker()
+        batch.trace = TraceRecorder()
+        arb_nucleus_decomp(figure1_graph(), 2, 3, tracker=batch)
+        assert len(events) > len(batch.trace.events)
 
 
 class TestBench:

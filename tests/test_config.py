@@ -52,6 +52,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             cfg.validated(10, 2, 3)
 
+    def test_unknown_update_arithmetic_rejected(self):
+        with pytest.raises(ValueError, match="update_arithmetic"):
+            NucleusConfig(update_arithmetic="nope").validated(10, 3, 4)
+        for mode in ("fractional", "representative"):
+            NucleusConfig(update_arithmetic=mode).validated(10, 3, 4)
+
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_threads_must_be_positive(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            NucleusConfig(threads=threads).validated(10, 2, 3)
+
     def test_levels_clamped_to_r(self):
         cfg = NucleusConfig(levels=3).validated(10, 2, 3)
         assert cfg.levels == 2

@@ -2,20 +2,17 @@
 
 The headline invariant: the distributed peel's output is bit-for-bit
 identical to the single-node oracle on every graph/(r,s)/shard-count
-combination, under both exchange engines.  The message-volume accounting
+combination, on both the batch kernels and the scalar oracle kernels
+(``CostTracker(oracle=True)``).  The message-volume accounting
 is pinned by closed-form unit tests (one exchange charges exactly the
 sum of the per-shard batch sizes, with no double-charging), and the
 scalar/batch exchange kernels must agree charge-for-charge on every
 tracker.
 """
 
-from dataclasses import replace
-from itertools import product
-
 import numpy as np
 import pytest
 
-from repro.core.config import NucleusConfig
 from repro.core.decomp import arb_nucleus_decomp
 from repro.distributed import (ENTRY_BYTES, DistributedMachineModel,
                                PARTITIONERS, hash_partition,
@@ -42,14 +39,6 @@ RACECHECK_COVERS = [
     "repro.distributed.batchpeel.local_round_batch",
 ]
 
-#: Every (local-round engine, exchange engine) pair the driver accepts.
-ENGINE_PAIRS = list(product(("scalar", "batch"), ("scalar", "batch")))
-
-
-def _engine_config(r, s, engine):
-    """``NucleusConfig.optimal`` with the peel and listing engines set."""
-    return replace(NucleusConfig.optimal(r, s), engine=engine,
-                   listing_engine=engine)
 
 #: The differential suite: (graph factory, r, s, shard count).  Two
 #: partitioner choices and shard counts from 2 to 8, k-core through
@@ -75,11 +64,10 @@ class TestDifferentialOracle:
                                         partitioner):
         graph = factory()
         reference = arb_nucleus_decomp(graph, r, s)
-        for engine, exchange_engine in ENGINE_PAIRS:
+        for oracle in (True, False):
             result = sharded_nucleus_decomp(
                 graph, r, s, shards, partitioner=partitioner,
-                config=_engine_config(r, s, engine),
-                exchange_engine=exchange_engine)
+                tracker=CostTracker(oracle=oracle))
             assert np.array_equal(result._cells, reference._cells)
             assert np.array_equal(result._cores, reference._cores)
             assert result.as_dict() == reference.as_dict()
@@ -88,12 +76,14 @@ class TestDifferentialOracle:
             assert result.n_r_cliques == reference.n_r_cliques
             assert result.n_s_cliques == reference.n_s_cliques
 
-    @pytest.mark.parametrize("engine", ["scalar", "batch"])
-    def test_core_of_matches_single_node(self, engine):
+    @pytest.mark.parametrize("kernels", ["scalar", "batch"])
+    def test_core_of_matches_single_node(self, kernels):
         graph = planted_partition(100, 4, 0.3, 0.03, seed=6)
-        config = _engine_config(2, 3, engine)
-        single = arb_nucleus_decomp(graph, 2, 3, config)
-        sharded = sharded_nucleus_decomp(graph, 2, 3, 4, config=config)
+        oracle = kernels == "scalar"
+        single = arb_nucleus_decomp(graph, 2, 3,
+                                    tracker=CostTracker(oracle=oracle))
+        sharded = sharded_nucleus_decomp(graph, 2, 3, 4,
+                                         tracker=CostTracker(oracle=oracle))
         cliques = list(single.as_dict())
         assert cliques
         for clique in cliques:
@@ -132,28 +122,24 @@ class TestDifferentialOracle:
 
 class TestExchangeParity:
     def test_scalar_and_batch_agree_on_every_tracker(self):
-        # Every engine pair against the all-scalar oracle: the batch local
-        # round and the batch exchange each replay their oracle's charges
-        # on every tracker, phase by phase.
+        # The batch local round and the batch exchange each replay their
+        # oracle's charges on every tracker, phase by phase.
         graph = planted_partition(120, 4, 0.3, 0.02, seed=1)
-        runs = {pair: sharded_nucleus_decomp(
-                    graph, 2, 3, 4, config=_engine_config(2, 3, pair[0]),
-                    exchange_engine=pair[1])
-                for pair in ENGINE_PAIRS}
-        scalar = runs["scalar", "scalar"]
-        for pair, batch in runs.items():
-            assert scalar.tracker.summary() == batch.tracker.summary(), pair
-            for st_scalar, st_batch in zip(scalar.shard_trackers,
-                                           batch.shard_trackers):
-                assert st_scalar.summary() == st_batch.summary(), pair
-                assert {k: vars(v) for k, v in st_scalar.phases.items()} \
-                    == {k: vars(v) for k, v in st_batch.phases.items()}
-            assert scalar.exchange_log == batch.exchange_log
-            assert scalar.round_log == batch.round_log
-            assert scalar.round_compute == batch.round_compute
-            assert scalar.comm_messages == batch.comm_messages
-            assert scalar.comm_bytes == batch.comm_bytes
-            assert np.array_equal(scalar._cores, batch._cores)
+        scalar, batch = (sharded_nucleus_decomp(
+            graph, 2, 3, 4, tracker=CostTracker(oracle=oracle))
+            for oracle in (True, False))
+        assert scalar.tracker.summary() == batch.tracker.summary()
+        for st_scalar, st_batch in zip(scalar.shard_trackers,
+                                       batch.shard_trackers):
+            assert st_scalar.summary() == st_batch.summary()
+            assert {k: vars(v) for k, v in st_scalar.phases.items()} \
+                == {k: vars(v) for k, v in st_batch.phases.items()}
+        assert scalar.exchange_log == batch.exchange_log
+        assert scalar.round_log == batch.round_log
+        assert scalar.round_compute == batch.round_compute
+        assert scalar.comm_messages == batch.comm_messages
+        assert scalar.comm_bytes == batch.comm_bytes
+        assert np.array_equal(scalar._cores, batch._cores)
 
 
 def _exchange_fixture():
@@ -447,15 +433,13 @@ class TestShardedRaceCoverage:
         # one; the run must be race-free and equal the uninstrumented
         # batch run on every tracker.
         graph = planted_partition(80, 4, 0.3, 0.05, seed=11)
-        config = _engine_config(2, 3, "batch")
         tracker = CostTracker()
         detector = RaceDetector()
         tracker.race_detector = detector
-        checked = sharded_nucleus_decomp(graph, 2, 3, 3, config=config,
-                                         tracker=tracker)
+        checked = sharded_nucleus_decomp(graph, 2, 3, 3, tracker=tracker)
         assert detector.settle(strict=False) == []
         assert detector.stats.tasks > 0
-        plain = sharded_nucleus_decomp(graph, 2, 3, 3, config=config)
+        plain = sharded_nucleus_decomp(graph, 2, 3, 3)
         assert checked.as_dict() == plain.as_dict()
         assert checked.exchange_log == plain.exchange_log
         assert checked.round_compute == plain.round_compute
@@ -469,3 +453,9 @@ class TestShardedRaceCoverage:
                                         tracker=tracker)
         for st in result.shard_trackers:
             assert st.race_detector is tracker.race_detector
+
+    @pytest.mark.parametrize("oracle", [True, False])
+    def test_shard_trackers_inherit_oracle(self, oracle):
+        result = sharded_nucleus_decomp(figure1_graph(), 2, 3, 2,
+                                        tracker=CostTracker(oracle=oracle))
+        assert [st.oracle for st in result.shard_trackers] == [oracle] * 2

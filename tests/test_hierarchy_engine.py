@@ -1,10 +1,11 @@
 """Differential suite for the tracker-charged hierarchy engine.
 
-``nucleus_hierarchy`` (scalar and batch kernels) must reproduce the
-post-hoc ``build_hierarchy`` oracle exactly --- same node ids, parent
-links, levels and member sets --- and the two kernels must charge the
-simulated machine bit-for-bit identically (the PAR007 parity contract
-for ``batch_levels``).
+``nucleus_hierarchy`` (scalar kernels on a ``CostTracker(oracle=True)``,
+batch kernels on a default tracker) must reproduce the post-hoc
+``build_hierarchy`` oracle exactly --- same node ids, parent links,
+levels and member sets --- and the two kernels must charge the simulated
+machine bit-for-bit identically (the PAR007 parity contract for
+``batch_levels``).
 """
 
 import pytest
@@ -41,15 +42,14 @@ class TestEngineMatchesOracle:
         graph = make()
         result = arb_nucleus_decomp(graph, r, s)
         oracle = build_hierarchy(graph, result)
-        engine = nucleus_hierarchy(graph, result, engine="scalar")
+        engine = nucleus_hierarchy(graph, result, CostTracker(oracle=True))
         assert hierarchy_key(engine) == hierarchy_key(oracle)
 
     def test_batch_engine(self, name, make, r, s):
         graph = make()
         result = arb_nucleus_decomp(graph, r, s)
         oracle = build_hierarchy(graph, result)
-        engine = nucleus_hierarchy(graph, result, engine="batch",
-                                   listing_engine="batch")
+        engine = nucleus_hierarchy(graph, result)
         assert hierarchy_key(engine) == hierarchy_key(oracle)
 
     def test_charge_parity(self, name, make, r, s):
@@ -57,11 +57,9 @@ class TestEngineMatchesOracle:
         # not just identical output.
         graph = make()
         result = arb_nucleus_decomp(graph, r, s)
-        scalar_tracker, batch_tracker = CostTracker(), CostTracker()
-        nucleus_hierarchy(graph, result, tracker=scalar_tracker,
-                          engine="scalar")
-        nucleus_hierarchy(graph, result, tracker=batch_tracker,
-                          engine="batch")
+        scalar_tracker, batch_tracker = CostTracker(oracle=True), CostTracker()
+        nucleus_hierarchy(graph, result, tracker=scalar_tracker)
+        nucleus_hierarchy(graph, result, tracker=batch_tracker)
         assert scalar_tracker.summary() == batch_tracker.summary()
 
 
@@ -76,25 +74,28 @@ class TestEngineOptions:
         assert hierarchy_key(direct) == hierarchy_key(provided)
 
     def test_listing_engine_is_cosmetic(self):
+        """The hierarchy does not depend on which kernels built the
+        decomposition it refines."""
         graph = planted_partition(40, 4, 0.5, 0.02, seed=2)
-        result = arb_nucleus_decomp(graph, 2, 3)
-        scalar_list = nucleus_hierarchy(graph, result,
-                                        listing_engine="scalar")
-        batch_list = nucleus_hierarchy(graph, result,
-                                       listing_engine="batch")
-        assert hierarchy_key(scalar_list) == hierarchy_key(batch_list)
+        scalar_result = arb_nucleus_decomp(
+            graph, 2, 3, tracker=CostTracker(oracle=True))
+        batch_result = arb_nucleus_decomp(graph, 2, 3)
+        assert hierarchy_key(nucleus_hierarchy(graph, scalar_result)) == \
+            hierarchy_key(nucleus_hierarchy(graph, batch_result))
 
     def test_unknown_engine_rejected(self):
+        """Kernel choice is not a keyword: ``engine`` raises instead of
+        being ignored."""
         graph = figure1_graph()
         result = arb_nucleus_decomp(graph, 2, 3)
-        with pytest.raises(ValueError):
-            nucleus_hierarchy(graph, result, engine="magic")
+        with pytest.raises(TypeError, match="engine"):
+            nucleus_hierarchy(graph, result, engine="batch")
 
     def test_charges_are_recorded_in_phases(self):
         tracker = CostTracker()
         graph = planted_partition(40, 4, 0.5, 0.02, seed=2)
         result = arb_nucleus_decomp(graph, 2, 3)
-        nucleus_hierarchy(graph, result, tracker=tracker, engine="batch")
+        nucleus_hierarchy(graph, result, tracker=tracker)
         assert {"hier_list", "hier_levels", "hier_emit"} <= \
             set(tracker.phases)
         assert tracker.work > 0
@@ -102,7 +103,7 @@ class TestEngineOptions:
 
 
 class TestOracleRouting:
-    """`build_hierarchy` itself must honor the configured lister."""
+    """`build_hierarchy` itself lists through the tracker's lister."""
 
     def test_oracle_accepts_precomputed_cliques(self):
         graph = figure1_graph()
@@ -116,6 +117,9 @@ class TestOracleRouting:
     def test_oracle_uses_batch_lister(self):
         graph = planted_partition(40, 4, 0.5, 0.02, seed=2)
         result = arb_nucleus_decomp(graph, 2, 3)
-        assert hierarchy_key(build_hierarchy(graph, result)) == \
+        scalar_tracker, batch_tracker = CostTracker(oracle=True), CostTracker()
+        assert hierarchy_key(build_hierarchy(
+            graph, result, tracker=scalar_tracker)) == \
             hierarchy_key(build_hierarchy(graph, result,
-                                          listing_engine="batch"))
+                                          tracker=batch_tracker))
+        assert scalar_tracker.summary() == batch_tracker.summary()

@@ -63,7 +63,7 @@ def test_public_functions_have_docstrings():
                         "repro.parallel.unionfind",
                         "repro.bucketing.julienne", "repro.bucketing.fibheap",
                         "repro.bucketing.dense", "repro.machine.cache",
-                        "repro.machine.setstore", "repro.graph.csr",
+                        "repro.graph.csr",
                         "repro.graph.generators", "repro.graph.stats",
                         "repro.analysis.nuclei", "repro.analysis.hierarchy",
                         "repro.analysis.serialize",

@@ -1,7 +1,5 @@
 """Tests for the dynamic race detector (repro.sanitize.racecheck)."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -289,18 +287,14 @@ class TestBatchEnginesRaceSmoke:
 
     ENGINES = {
         "batchpeel": staticmethod(lambda t: arb_nucleus_decomp(
-            figure1_graph(), 2, 3,
-            replace(NucleusConfig.optimal(2, 3), engine="batch"), t)),
+            figure1_graph(), 2, 3, NucleusConfig.optimal(2, 3), t)),
         "batchlist": staticmethod(lambda t: arb_nucleus_decomp(
-            figure1_graph(), 2, 3,
-            replace(NucleusConfig.optimal(2, 3), listing_engine="batch"),
-            t)),
-        "batchcore": staticmethod(lambda t: k_core(
-            figure1_graph(), t, engine="batch")),
+            figure1_graph(), 2, 4, NucleusConfig.optimal(2, 4), t)),
+        "batchcore": staticmethod(lambda t: k_core(figure1_graph(), t)),
         "batchnd": staticmethod(lambda t: nd_decomposition(
-            figure1_graph(), 2, 3, t, engine="batch")),
+            figure1_graph(), 2, 3, t)),
         "batchtruss": staticmethod(lambda t: pkt_decomposition(
-            figure1_graph(), t, engine="batch")),
+            figure1_graph(), t)),
     }
 
     @staticmethod

@@ -40,19 +40,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--label", default="",
                         help="free-form label stored in the payload "
                              "(e.g. a git revision)")
-    parser.add_argument("--engine", choices=["scalar", "batch"],
-                        default="scalar",
-                        help="peeling implementation for the suite run")
-    parser.add_argument("--listing-engine", choices=["scalar", "batch"],
-                        dest="listing_engine", default="scalar",
-                        help="clique-listing implementation for the suite "
-                             "run")
     parser.add_argument("--engine-gate", action="store_true",
-                        help="run the suite AND the baseline suite under "
-                             "BOTH engines (plus a batch-listing run), "
-                             "require bit-for-bit identical simulated "
-                             "metrics, a batch peel wall-clock speedup of "
-                             "at least --min-speedup, a batch-listing "
+                        help="run every suite twice, on the scalar oracle "
+                             "kernels and on the production batch "
+                             "kernels, require bit-for-bit identical "
+                             "simulated metrics, a batch peel wall-clock "
+                             "speedup of at least --min-speedup, a "
                              "count-phase speedup of at least "
                              "--min-listing-speedup, a baseline "
                              "hot-phase speedup of at least "
@@ -60,16 +53,15 @@ def main(argv: list[str] | None = None) -> int:
                              "level-sweep speedup of at least "
                              "--min-hierarchy-speedup and a sharded "
                              "local-round speedup of at least x2 (fixed); "
-                             "writes the scalar "
-                             "payload to --output and the batch / listing "
-                             "payloads next to it")
+                             "writes the oracle payload to --output and "
+                             "the batch payload next to it")
     parser.add_argument("--min-speedup", type=float, default=1.0,
                         help="minimum suite-total peel wall-clock speedup "
                              "the batch engine must reach in --engine-gate "
                              "mode (default 1.0: strictly faster)")
     parser.add_argument("--min-listing-speedup", type=float, default=1.0,
                         help="minimum suite-total count-phase wall-clock "
-                             "speedup the batch listing engine must reach "
+                             "speedup the batch clique lister must reach "
                              "in --engine-gate mode (default 1.0: strictly "
                              "faster)")
     parser.add_argument("--min-baseline-speedup", type=float, default=1.0,
@@ -97,19 +89,7 @@ def main(argv: list[str] | None = None) -> int:
         return _engine_gate(args, baseline)
 
     progress = lambda msg: print(msg, flush=True)  # noqa: E731
-    payload = bench.run_suite(threads=args.threads, label=args.label,
-                              progress=progress,
-                              engine=args.engine,
-                              listing_engine=args.listing_engine)
-    payload["baselines"] = bench.run_baseline_suite(
-        threads=args.threads, progress=progress, engine=args.engine)
-    payload["hierarchy"] = bench.run_hierarchy_suite(
-        threads=args.threads, progress=progress, engine=args.engine,
-        listing_engine=args.listing_engine)
-    payload["sharded"] = bench.run_sharded_suite(
-        threads=args.threads, progress=progress,
-        exchange_engine=args.engine, engine=args.engine,
-        listing_engine=args.listing_engine)
+    payload = _run_all(args, progress, oracle=False)
     bench.write_payload(payload, args.output)
     print(f"wrote {len(payload['suite'])} suite entries, "
           f"{len(payload['baselines'])} baseline entries, "
@@ -130,10 +110,22 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-#: Entry fields excluded from the bit-for-bit engine comparison: host
-#: wall-clock is the one thing the batch engines are *supposed* to change.
-_HOST_ONLY_FIELDS = ("wall_clock", "engine", "listing_engine",
-                     "exchange_engine")
+def _run_all(args, progress, oracle: bool) -> dict:
+    """The pinned suite plus the baseline, hierarchy and sharded suites."""
+    payload = bench.run_suite(threads=args.threads, label=args.label,
+                              progress=progress, oracle=oracle)
+    payload["baselines"] = bench.run_baseline_suite(
+        threads=args.threads, progress=progress, oracle=oracle)
+    payload["hierarchy"] = bench.run_hierarchy_suite(
+        threads=args.threads, progress=progress, oracle=oracle)
+    payload["sharded"] = bench.run_sharded_suite(
+        threads=args.threads, progress=progress, oracle=oracle)
+    return payload
+
+
+#: Entry fields excluded from the bit-for-bit oracle comparison: host
+#: wall-clock is the one thing the batch kernels are *supposed* to change.
+_HOST_ONLY_FIELDS = ("wall_clock", "oracle")
 
 
 def _simulated_view(entry: dict) -> dict:
@@ -152,18 +144,18 @@ _SECTION_KEYS = {
 }
 
 
-def _parity_failures(reference: dict, candidate: dict,
-                     label: str, section: str = "suite") -> list[str]:
-    """Bit-for-bit simulated-metric differences between two suite runs."""
+def _parity_failures(oracle: dict, batch: dict, section: str) -> list[str]:
+    """Bit-for-bit simulated-metric differences between the oracle and
+    the batch payloads in one section."""
     key_of = _SECTION_KEYS[section]()
     failures = []
-    for ref_entry, cand_entry in zip(reference[section], candidate[section]):
+    for ref_entry, cand_entry in zip(oracle[section], batch[section]):
         key = key_of(ref_entry)
         if _simulated_view(ref_entry) != _simulated_view(cand_entry):
             diffs = [k for k in _simulated_view(ref_entry)
                      if ref_entry.get(k) != cand_entry.get(k)]
             failures.append(f"{key}: simulated metrics differ between "
-                            f"{label} in fields {diffs}")
+                            f"the oracle and batch runs in fields {diffs}")
     return failures
 
 
@@ -188,47 +180,20 @@ def _sharded_local_peel_total(payload: dict) -> float:
 
 
 def _engine_gate(args, baseline) -> int:
-    """Run both engines (and the batch listing engine); enforce the
-    cost-parity invariants plus the peel and count-phase speedups."""
+    """Run every suite on the oracle and on the production kernels;
+    enforce the cost-parity invariants plus the wall-clock floors."""
     progress = lambda msg: print(msg, flush=True)  # noqa: E731
-    scalar = bench.run_suite(threads=args.threads, label=args.label,
-                             progress=progress, engine="scalar")
-    batch = bench.run_suite(threads=args.threads, label=args.label,
-                            progress=progress, engine="batch")
-    listing = bench.run_suite(threads=args.threads, label=args.label,
-                              progress=progress, engine="batch",
-                              listing_engine="batch")
-    scalar["baselines"] = bench.run_baseline_suite(
-        threads=args.threads, progress=progress, engine="scalar")
-    batch["baselines"] = bench.run_baseline_suite(
-        threads=args.threads, progress=progress, engine="batch")
-    scalar["hierarchy"] = bench.run_hierarchy_suite(
-        threads=args.threads, progress=progress, engine="scalar")
-    batch["hierarchy"] = bench.run_hierarchy_suite(
-        threads=args.threads, progress=progress, engine="batch",
-        listing_engine="batch")
-    scalar["sharded"] = bench.run_sharded_suite(
-        threads=args.threads, progress=progress, exchange_engine="scalar")
-    batch["sharded"] = bench.run_sharded_suite(
-        threads=args.threads, progress=progress, exchange_engine="batch",
-        engine="batch", listing_engine="batch")
+    scalar = _run_all(args, progress, oracle=True)
+    batch = _run_all(args, progress, oracle=False)
     bench.write_payload(scalar, args.output)
     root, ext = os.path.splitext(args.output)
     batch_path = f"{root}.batch{ext or '.json'}"
-    listing_path = f"{root}.listing{ext or '.json'}"
     bench.write_payload(batch, batch_path)
-    bench.write_payload(listing, listing_path)
-    print(f"wrote scalar payload to {args.output}, batch payload to "
-          f"{batch_path}, batch-listing payload to {listing_path}")
+    print(f"wrote oracle payload to {args.output}, batch payload to "
+          f"{batch_path}")
 
-    failures = _parity_failures(scalar, batch, "peel engines")
-    failures += _parity_failures(scalar, listing, "listing engines")
-    failures += _parity_failures(scalar, batch, "baseline engines",
-                                 section="baselines")
-    failures += _parity_failures(scalar, batch, "hierarchy engines",
-                                 section="hierarchy")
-    failures += _parity_failures(scalar, batch, "exchange engines",
-                                 section="sharded")
+    failures = [line for section in _SECTION_KEYS
+                for line in _parity_failures(scalar, batch, section)]
     scalar_peel = _phase_wall_total(scalar, "peel")
     batch_peel = _phase_wall_total(batch, "peel")
     ratio = scalar_peel / batch_peel if batch_peel > 0 else float("inf")
@@ -238,12 +203,11 @@ def _engine_gate(args, baseline) -> int:
         failures.append(f"batch peel speedup x{ratio:.2f} below the "
                         f"required x{args.min_speedup:.2f}")
     scalar_count = _phase_wall_total(scalar, "count_s")
-    listing_count = _phase_wall_total(listing, "count_s")
-    listing_ratio = scalar_count / listing_count if listing_count > 0 \
+    batch_count = _phase_wall_total(batch, "count_s")
+    listing_ratio = scalar_count / batch_count if batch_count > 0 \
         else float("inf")
     print(f"suite count_s wall-clock: scalar {scalar_count:.3f}s, "
-          f"batch listing {listing_count:.3f}s (speedup "
-          f"x{listing_ratio:.2f})")
+          f"batch {batch_count:.3f}s (speedup x{listing_ratio:.2f})")
     if listing_ratio < args.min_listing_speedup:
         failures.append(f"batch listing count-phase speedup "
                         f"x{listing_ratio:.2f} below the required "
@@ -298,8 +262,7 @@ def _engine_gate(args, baseline) -> int:
                             f"required x{args.min_comm_reduction:.2f}")
 
     if baseline is not None:
-        for name, payload in (("scalar", scalar), ("batch", batch),
-                              ("listing", listing)):
+        for name, payload in (("oracle", scalar), ("batch", batch)):
             regressions = bench.compare(payload, baseline,
                                         tolerance=args.tolerance)
             failures.extend(f"[{name}] {line}" for line in regressions)
