@@ -107,10 +107,11 @@ class SimpleArrayAggregator:
         self._slots[self._cursor] = cell
         self._cursor += 1
 
-    def record_many(self, cells, threads=None, address_sink=None) -> None:
+    def record_many(self, cells, threads=None, capture: bool = False) -> None:
         """Batch :meth:`record`: charges exactly what the per-cell calls
-        would (1 work + 1 atomic + 1 cursor collision each)."""
-        del threads, address_sink
+        would (1 work + 1 atomic + 1 cursor collision each).  Records touch
+        no simulated cache line, so ``capture`` has nothing to return."""
+        del threads, capture
         cells = np.asarray(cells, dtype=np.int64)
         n = cells.size
         if n == 0:
@@ -195,7 +196,7 @@ class ListBufferAggregator:
         self._thread_cursor[thread] += 1
         self._thread_remaining[thread] -= 1
 
-    def record_many(self, cells, threads=None, address_sink=None) -> None:
+    def record_many(self, cells, threads=None, capture: bool = False) -> None:
         """Batch :meth:`record` with exact slot placement and charges.
 
         Replays the per-thread block-cursor arithmetic in closed form: the
@@ -203,9 +204,10 @@ class ListBufferAggregator:
         reserves a fresh block iff ``k % buffer_size == 0``, and blocks are
         handed out in global record order --- so slot contents, reservation
         count (atomics + block-cursor collisions), and the round's filtered
-        output come out identical to per-cell calls.
+        output come out identical to per-cell calls.  Records touch no
+        simulated cache line, so ``capture`` has nothing to return.
         """
-        del address_sink
+        del capture
         cells = np.asarray(cells, dtype=np.int64)
         n = cells.size
         if n == 0:
@@ -299,46 +301,45 @@ class HashTableAggregator:
         hint = max(4, min(self.capacity, update_estimate))
         self._table = ParallelHashTable(hint, tracker=self.tracker)
 
+    def _log_claim(self, cell: int) -> None:
+        """Race-log one insert: hash-table inserts are CAS-mediated slot
+        claims."""
+        detector = self.tracker.race_detector
+        if self._slot_base is None:
+            self._slot_base = detector.allocate(self.capacity, "U_hash")
+        detector.log(self._slot_base + int(cell) % self.capacity,
+                     write=True, atomic=True)
+
     def record(self, cell: int, thread: int = 0) -> None:
         del thread
         if self.tracker is not None and self.tracker.race_detector is not None:
-            # Hash-table inserts are CAS-mediated slot claims.
-            if self._slot_base is None:
-                self._slot_base = self.tracker.race_detector.allocate(
-                    self.capacity, "U_hash")
-            self.tracker.race_detector.log(
-                self._slot_base + int(cell) % self.capacity,
-                write=True, atomic=True)
+            self._log_claim(cell)
         self._table.insert_or_add(cell, 0.0)
 
-    def record_many(self, cells, threads=None, address_sink=None) -> None:
-        """Batch :meth:`record`.
+    def record_many(self, cells, threads=None, capture: bool = False):
+        """Batch :meth:`record` through
+        :meth:`~repro.parallel.hashtable.ParallelHashTable.insert_many`.
 
-        Hash inserts are inherently sequence-dependent (probing and growth
-        depend on prior inserts), so this loops --- charging is already
-        identical per record.  With ``address_sink`` given (and a tracker
-        attached), each record's simulated probe addresses are captured and
-        appended to the sink as one array per record instead of being fed
-        to the cache, so the batch engine can splice them into the full
-        update stream at the scalar loop's position.
+        With ``capture`` set, returns the simulated probe addresses the
+        records would feed the cache as ``(addresses, lens)`` (one segment
+        per record) instead of feeding them, so the batch engine can splice
+        them into the full update stream at the scalar loop's position.
         """
         del threads
-        capture = address_sink is not None and self.tracker is not None
-        for cell in np.asarray(cells, dtype=np.int64).tolist():
-            if capture:
-                self.tracker.begin_access_capture()
-                self.record(cell)
-                address_sink.append(
-                    np.asarray(self.tracker.end_access_capture(),
-                               dtype=np.int64))
-            else:
-                self.record(cell)
+        cells = np.asarray(cells, dtype=np.int64)
+        if self.tracker is not None and self.tracker.race_detector is not None:
+            for cell in cells.tolist():
+                self._log_claim(cell)
+        _, addresses, lens = self._table.insert_many(cells, 0.0,
+                                                     capture=capture)
+        return (addresses, lens) if capture else None
 
     def finish_round(self) -> np.ndarray:
-        cells = np.sort(np.asarray(
-            [k for k, _ in self._table.items()], dtype=np.int64))
+        table = self._table
+        cells = np.sort(
+            table.keys[table.occupied_slots()].astype(np.int64))
         # The entire table must be cleared before reuse.
-        self._table.clear()
+        table.clear()
         return cells
 
 

@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..cliques.batchlist import expand_cliques
-from ..parallel.primitives import intersect_many, interleave_segments
+from ..parallel.primitives import interleave_segments, intersect_segments
 from ..parallel.runtime import CostTracker, _log2
 
 _ALIVE, _PEELING, _PEELED = 0, 1, 2
@@ -87,9 +87,8 @@ PARLINT_PARITY = {
             "access_sequence": 1,
             "add_cliques": 1,
             "add_probes": 1,
-            "add_work_int": 3,
+            "add_work_int": 4,
             "expand_cliques": 1,
-            "intersect_many": 1,
         },
     },
     "_run_round": {
@@ -151,8 +150,7 @@ def peel_batch(*, graph, dg, working, table, buckets, aggregator, meter,
                 peel_cells, collect_addresses=cache_on)
             if cache_on:
                 tracker.access_sequence(dec_addrs)
-            for u, v in edges:
-                contraction.note_peeled_edge(int(u), int(v))
+            contraction.note_peeled_edges(edges)
             contraction.maybe_contract(
                 lambda a, b: status[table.cell_of(
                     (a, b) if a < b else (b, a))] != _PEELED,
@@ -222,41 +220,49 @@ def rediscover_round(peel_cells, comb_cols, dg, working, table, status,
     cliques, dec_addrs, dec_lens = table.decode_many(
         peel_cells, collect_addresses=cache_on)
 
-    # -- rediscover candidate completions per peeled clique.
+    # -- rediscover candidate completions per peeled clique: intersect
+    # the r neighborhoods of every task at once, charging each task's
+    # min(|N(v_j)|) + 1 like the scalar intersect_many.
     if r == 1:
-        candidates = [working.neighbors(int(v)) for v in cliques[:, 0]]
         tracker.add_work_int(n_tasks)
+        cols = cliques
     else:
-        candidates = intersect_many(
-            [[working.neighbors(int(v)) for v in row] for row in cliques],
-            tracker)
+        lens = working.lengths[cliques]  # (n_tasks, r)
+        tracker.add_work_int(int(lens.min(axis=1).sum()) + n_tasks)
+        # Start each row from its shortest list; the set is order-free.
+        cols = np.take_along_axis(
+            cliques, np.argsort(lens, axis=1, kind="stable"), axis=1)
+    cand_values, sizes = working.gather(cols[:, 0])
+    for j in range(1, r):
+        live = np.flatnonzero(sizes)
+        if not live.size:
+            break
+        next_values, live_lens = working.gather(cols[live, j])
+        next_lens = np.zeros(n_tasks, dtype=np.int64)
+        next_lens[live] = live_lens
+        cand_values, sizes = intersect_segments(cand_values, sizes,
+                                                next_values, next_lens)
 
     # -- enumerate incident s-cliques (rows) in scalar discovery order.
     if s - r == 1:
-        sizes = np.fromiter((c.size for c in candidates), dtype=np.int64,
-                            count=n_tasks)
-        total = int(sizes.sum())
+        total = cand_values.size
         tracker.add_work_int(total)
         tracker.add_cliques(total)
         rows = np.empty((total, s), dtype=np.int64)
         if total:
             rows[:, :r] = np.repeat(cliques, sizes, axis=0)
-            rows[:, r] = np.concatenate(
-                [c for c in candidates if c.size]).astype(np.int64)
+            rows[:, r] = cand_values
         row_task = np.repeat(np.arange(n_tasks, dtype=np.int64), sizes)
     else:
         # Frontier expansion over every eligible task at once; tasks whose
         # candidate set cannot complete an s-clique are skipped without
         # charge, exactly like the scalar loop's early continue.
-        sizes = np.fromiter((c.size for c in candidates), dtype=np.int64,
-                            count=n_tasks)
-        eligible = np.flatnonzero(sizes >= s - r)
-        cand_lens = sizes[eligible]
-        cand_values = np.concatenate(
-            [candidates[t] for t in eligible]).astype(np.int64) \
-            if eligible.size else np.empty(0, dtype=np.int64)
-        rows, base_of = expand_cliques(dg, cliques[eligible], cand_values,
-                                       cand_lens, s - r, tracker)
+        eligible_mask = sizes >= s - r
+        eligible = np.flatnonzero(eligible_mask)
+        rows, base_of = expand_cliques(
+            dg, cliques[eligible], cand_values[np.repeat(eligible_mask,
+                                                         sizes)],
+            sizes[eligible], s - r, tracker)
         rows = rows.reshape(-1, s)
         row_task = eligible[base_of]
     n_rows = rows.shape[0]
@@ -349,7 +355,7 @@ def _run_round(peel_cells, comb_cols, dg, working, table, aggregator,
         collect_addresses=cache_on)
 
     # -- first-touch dedup and aggregation (vectorized last_round stamp).
-    sink = [] if (cache_on and aggregator.name == "hash") else None
+    captured = None
     record_mask = np.zeros(n_updates, dtype=bool)
     if n_updates:
         fresh = last_round[update_cells] != round_id
@@ -360,8 +366,8 @@ def _run_round(peel_cells, comb_cols, dg, working, table, aggregator,
         record_cells = update_cells[record_mask]
         last_round[record_cells] = round_id
         record_threads = row_task[update_row_of[record_mask]] % threads
-        aggregator.record_many(record_cells, record_threads,
-                               address_sink=sink)
+        captured = aggregator.record_many(record_cells, record_threads,
+                                          capture=cache_on)
 
     if not cache_on:
         return
@@ -372,14 +378,10 @@ def _run_round(peel_cells, comb_cols, dg, working, table, aggregator,
     # followed by the aggregator's captured probe addresses.
     n_rows = row_task.size
     if n_updates:
-        if sink is not None:
+        if captured is not None:
+            agg_flat, record_lens = captured
             agg_lens = np.zeros(n_updates, dtype=np.int64)
-            if sink:
-                agg_lens[record_mask] = np.fromiter(
-                    (seg.size for seg in sink), dtype=np.int64,
-                    count=len(sink))
-            agg_flat = np.concatenate(sink).astype(np.int64) if sink \
-                else np.empty(0, dtype=np.int64)
+            agg_lens[record_mask] = record_lens
             update_flat = interleave_segments(
                 count_addrs.astype(np.int64),
                 np.ones(n_updates, dtype=np.int64), agg_flat, agg_lens)

@@ -106,6 +106,8 @@ class NucleusConfig:
                              "'fractional', 'representative'")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
+        if self.levels < 1:
+            raise ValueError(f"levels must be >= 1, got {self.levels}")
         if self.contraction and (r, s) != (2, 3):
             raise ValueError("graph contraction only applies to (2,3) "
                              "nucleus decomposition (Section 5.6)")

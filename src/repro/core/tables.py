@@ -38,7 +38,8 @@ import numpy as np
 from ..cliques.encode import MAX_KEY_BITS, CliqueEncoder, KeyWidthError, \
     min_levels
 from ..machine.cache import AddressSpace
-from ..parallel.hashtable import EMPTY_KEY, hash64, hash64_many
+from ..parallel.hashtable import (EMPTY_KEY, hash64, hash64_many,
+                                  place_by_arrival)
 from ..parallel.primitives import segment_offsets
 from ..parallel.runtime import CostTracker, _log2
 
@@ -229,15 +230,10 @@ class CliqueTable:
         Precondition: the sub-tables are empty and duplicate rows are
         adjacent (the lexicographic build order guarantees both).  The
         layout, the probe counts and the charges equal a loop of scalar
-        :meth:`_insert` calls.  Keys are placed by arrival-priority
-        displacement rounds: every unplaced row claims its current slot,
-        the earliest row wins it (even against a later row already holding
-        it), and losing and displaced rows move one slot forward.  A row is
-        only ever blocked by earlier rows and a slot once held stays held
-        by an earlier row, so each row ends at the first slot from its home
-        not taken by earlier rows --- the sequential linear-probing layout.
-        A duplicate row finds its key where the first copy landed, after
-        the same number of probes.
+        :meth:`_insert` calls.  Keys are placed by
+        :func:`~repro.parallel.hashtable.place_by_arrival` (the sequential
+        linear-probing layout).  A duplicate row finds its key where the
+        first copy landed, after the same number of probes.
         """
         if keys.size == 0:
             return np.empty(0, dtype=np.int64)
@@ -250,23 +246,11 @@ class CliqueTable:
         self._check_room(tids, keys)
         home = (hash64_many(keys)
                 & (self._caps[tids] - 1).astype(np.uint64)).astype(np.int64)
-        disp = np.zeros(keys.size, dtype=np.int64)
-        # Until the final write, a placed cell holds its row's arrival
-        # index, so the minimum scatter resolves claims against holders.
-        holder = self._keys
-        active = np.arange(keys.size, dtype=np.int64)
-        while active.size:
-            cells = self._slot_cells(tids[active],
-                                     home[active] + disp[active])
-            ids = active.astype(np.uint64)
-            before = holder[cells]
-            np.minimum.at(holder, cells, ids)
-            after = holder[cells]
-            displaced = np.unique(before[(before != _EMPTY)
-                                         & (after != before)])
-            active = np.concatenate([active[after != ids],
-                                     displaced.astype(np.int64)])
-            disp[active] += 1
+        # The sub-tables are empty, so the key array itself can hold the
+        # arrival ids until the final write.
+        disp = place_by_arrival(
+            self._keys, home,
+            lambda rows, slots: self._slot_cells(tids[rows], slots))
         cells = self._slot_cells(tids, home + disp)
         self._keys[cells] = keys
         if copy_of is not None:

@@ -67,29 +67,37 @@ def mincut_partition(graph: CSRGraph, n_shards: int,
     the vertices in ascending id order; move a vertex to the shard owning
     strictly more of its neighbors than its current shard does, unless the
     target shard is already at the balance cap
-    ``ceil(n / n_shards * slack)``.  Ties break toward the lowest shard id
-    (``np.argmax`` returns the first maximum), and sweeps stop early once
-    a full pass moves nothing -- both choices keep the result
-    deterministic.
+    ``ceil(n / n_shards * slack)``.  Ties break toward the lowest shard
+    id, and sweeps stop early once a full pass moves nothing -- both
+    choices keep the result deterministic.
     """
     seed = hash_partition(graph, n_shards, tracker)
     if n_shards == 1 or graph.n == 0:
         return Partition(n_shards, seed.shard_of.copy(), "mincut")
-    shard = seed.shard_of.copy()
-    sizes = np.bincount(shard, minlength=n_shards)
+    # The sweep is inherently sequential (each move changes later
+    # tallies), so it runs over Python lists: one small-int tally per
+    # vertex instead of a bincount/argmax round trip.
+    offsets = graph.offsets.tolist()
+    targets = graph.targets.tolist()
+    shard = seed.shard_of.tolist()
+    sizes = np.bincount(seed.shard_of, minlength=n_shards).tolist()
     cap = int(ceil(graph.n / n_shards * slack))
     for _ in range(sweeps):
+        if tracker is not None:
+            # 1 + deg(v) per visited vertex.
+            tracker.add_work_int(graph.n + len(targets))
         moved = 0
         for v in range(graph.n):
-            neighbors = graph.neighbors(v)
-            if tracker is not None:
-                tracker.add_work_int(1 + int(neighbors.size))
-            if neighbors.size == 0:
+            lo, hi = offsets[v], offsets[v + 1]
+            if lo == hi:
                 continue
-            tallies = np.bincount(shard[neighbors], minlength=n_shards)
-            current = int(shard[v])
-            best = int(np.argmax(tallies))
-            if best == current or tallies[best] <= tallies[current]:
+            tallies = [0] * n_shards
+            for w in targets[lo:hi]:
+                tallies[shard[w]] += 1
+            current = shard[v]
+            top = max(tallies)
+            best = tallies.index(top)  # lowest shard id among ties
+            if best == current or top <= tallies[current]:
                 continue
             if sizes[best] >= cap:
                 continue
@@ -99,7 +107,7 @@ def mincut_partition(graph: CSRGraph, n_shards: int,
             moved += 1
         if moved == 0:
             break
-    return Partition(n_shards, shard, "mincut")
+    return Partition(n_shards, np.asarray(shard, dtype=np.int64), "mincut")
 
 
 PARTITIONERS = {

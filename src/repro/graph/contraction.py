@@ -18,29 +18,63 @@ from __future__ import annotations
 import numpy as np
 
 from ..parallel.runtime import CostTracker, _log2
+from ..parallel.primitives import segment_gather, segment_offsets
 from .csr import CSRGraph
 
 
 class WorkingGraph:
-    """A mutable adjacency view over a :class:`CSRGraph`.
+    """A mutable CSR adjacency view over a :class:`CSRGraph`.
 
-    Starts as zero-copy views into the CSR arrays; contraction replaces
-    individual adjacency lists with filtered copies.  Neighbor arrays stay
-    sorted, so intersection code is unaffected.
+    Vertex ``v``'s live neighbors are ``adj[offsets[v] : offsets[v] +
+    lengths[v]]``.  ``adj`` aliases the graph's ``targets`` until the
+    first contraction copies it; contraction then compacts each rebuilt
+    list in place at the front of its segment, so lists stay sorted and
+    ``offsets`` never move.
     """
 
     def __init__(self, graph: CSRGraph):
         self.n = graph.n
-        self._adj: list[np.ndarray] = [graph.neighbors(v) for v in range(graph.n)]
+        self.offsets = graph.offsets
+        self.adj = graph.targets
+        self.lengths = np.diff(graph.offsets)
+        self._owns_adj = False
 
     def neighbors(self, v: int) -> np.ndarray:
-        return self._adj[v]
+        start = self.offsets[v]
+        return self.adj[start:start + self.lengths[v]]
 
     def degree(self, v: int) -> int:
-        return int(self._adj[v].size)
+        return int(self.lengths[v])
+
+    def gather(self, vertices) -> tuple[np.ndarray, np.ndarray]:
+        """The live neighbor lists of ``vertices``, flattened in order:
+        ``(values, lens)``."""
+        lens = self.lengths[vertices]
+        return segment_gather(self.adj, self.offsets[vertices], lens), lens
+
+    def _writable_adj(self) -> np.ndarray:
+        if not self._owns_adj:
+            self.adj = self.adj.copy()
+            self._owns_adj = True
+        return self.adj
 
     def replace(self, v: int, neighbors: np.ndarray) -> None:
-        self._adj[v] = neighbors
+        """Shrink ``v``'s list to ``neighbors`` (a sorted subset of it)."""
+        if neighbors.size > self.lengths[v]:
+            raise ValueError("a working adjacency list can only shrink")
+        start = self.offsets[v]
+        self._writable_adj()[start:start + neighbors.size] = neighbors
+        self.lengths[v] = neighbors.size
+
+    def compact(self, vertices: np.ndarray, keep: np.ndarray) -> None:
+        """Keep, for each of ``vertices``, the neighbors that ``keep`` marks
+        (a mask over :meth:`gather`'s flat values for ``vertices``)."""
+        values, lens = self.gather(vertices)
+        seg = np.repeat(np.arange(vertices.size, dtype=np.int64), lens)
+        kept_lens = np.bincount(seg[keep], minlength=vertices.size)
+        self._writable_adj()[np.repeat(self.offsets[vertices], kept_lens)
+                             + segment_offsets(kept_lens)] = values[keep]
+        self.lengths[vertices] = kept_lens
 
 
 class ContractionManager:
@@ -64,6 +98,12 @@ class ContractionManager:
         self._lost_since[u] += 1
         self._lost_since[v] += 1
 
+    def note_peeled_edges(self, edges: np.ndarray) -> None:
+        """:meth:`note_peeled_edge` for every row of an ``(m, 2)`` array."""
+        edges = np.asarray(edges, dtype=np.int64)
+        self._peeled_since += edges.shape[0]
+        np.add.at(self._lost_since, edges.reshape(-1), 1)
+
     def maybe_contract(self, edge_alive, edges_alive_many=None) -> bool:
         """Contract if the heuristics fire.
 
@@ -80,46 +120,39 @@ class ContractionManager:
         if self._peeled_since < self.PEEL_FACTOR * self.working.n:
             return False
         self.contractions += 1
-        rebuilt_work = 0
+        working = self.working
         if edges_alive_many is not None:
-            rebuild = [v for v in range(self.working.n)
-                       if self.working.degree(v) > 0
-                       and self._lost_since[v] * self.LOSS_DIVISOR
-                       >= self.working.degree(v)]
-            sizes = [self.working.degree(v) for v in rebuild]
-            if rebuild:
-                pairs = np.empty((sum(sizes), 2), dtype=np.int64)
-                pairs[:, 0] = np.repeat(np.asarray(rebuild, dtype=np.int64),
-                                        sizes)
-                pairs[:, 1] = np.concatenate(
-                    [self.working.neighbors(v) for v in rebuild])
-                alive = edges_alive_many(pairs)
-                offset = 0
-                for v, size in zip(rebuild, sizes):
-                    kept = self.working.neighbors(v)[
-                        alive[offset:offset + size]].astype(np.int64)
-                    offset += size
-                    self.working.replace(v, kept)
-                    rebuilt_work += size
-                    self._lost_since[v] = 0
+            lengths = working.lengths
+            rebuild = np.flatnonzero(
+                (lengths > 0)
+                & (self._lost_since * self.LOSS_DIVISOR >= lengths))
+            nbrs, sizes = working.gather(rebuild)
+            rebuilt_work = int(sizes.sum())
+            if rebuild.size:
+                pairs = np.empty((rebuilt_work, 2), dtype=np.int64)
+                pairs[:, 0] = np.repeat(rebuild, sizes)
+                pairs[:, 1] = nbrs
+                working.compact(rebuild, edges_alive_many(pairs))
+                self._lost_since[rebuild] = 0
         else:
             # Charged in aggregate below: n for the scan + rebuilt_work
             # for the filters (same totals as the batched branch).
-            for v in range(self.working.n):
-                degree = self.working.degree(v)
+            rebuilt_work = 0
+            for v in range(working.n):
+                degree = working.degree(v)
                 if degree == 0 or \
                         self._lost_since[v] * self.LOSS_DIVISOR < degree:
                     continue
-                nbrs = self.working.neighbors(v)
+                nbrs = working.neighbors(v)
                 kept = np.asarray(
                     [w for w in nbrs if edge_alive(int(v), int(w))],
                     dtype=np.int64)
-                self.working.replace(v, kept)
+                working.replace(v, kept)
                 rebuilt_work += degree
                 self._lost_since[v] = 0
         if self.tracker is not None:
             # Checking every vertex plus the parallel filters that rebuilt.
-            self.tracker.add_work(float(self.working.n + rebuilt_work))
-            self.tracker.add_span(_log2(self.working.n + rebuilt_work))
+            self.tracker.add_work(float(working.n + rebuilt_work))
+            self.tracker.add_span(_log2(working.n + rebuilt_work))
         self._peeled_since = 0
         return True

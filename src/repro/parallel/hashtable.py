@@ -54,6 +54,58 @@ def _next_power_of_two(n: int) -> int:
     return 1 << max(1, (n - 1).bit_length())
 
 
+#: Batch<->scalar parity contract, verified statically by ``repro lint
+#: --strict`` (rule PAR007); see :data:`repro.core.batchpeel.PARLINT_PARITY`.
+#: The bulk insert is pinned against the scalar atomic-add insert.
+PARLINT_PARITY = {
+    "ParallelHashTable.insert_many": {
+        "oracle": "repro.parallel.hashtable.ParallelHashTable.insert_or_add",
+        "fingerprint": {
+            "access_sequence": 1,
+            "add_atomic": 1,
+            "add_probes": 1,
+            "add_work_int": 1,
+        },
+    },
+}
+
+
+def place_by_arrival(holder: np.ndarray, home: np.ndarray, cells_of,
+                     first_id: int = 0) -> np.ndarray:
+    """Linear-probing placement of new keys in arrival order, in bulk.
+
+    ``holder`` is the slot array (``uint64``): :data:`EMPTY_KEY` marks a
+    free slot, and any occupant must compare below ``first_id`` so that
+    it is never displaced.  Row ``i`` (arrival id ``first_id + i``) probes
+    from ``home[i]``; ``cells_of(rows, slots)`` maps probe positions of
+    the given rows to holder indices (wrapping inside each row's table).
+
+    Keys are placed by arrival-priority displacement rounds: every
+    unplaced row claims its current slot, the earliest row wins it (even
+    against a later row already holding it), and losing and displaced
+    rows move one slot forward.  A row is only ever blocked by earlier
+    rows and a slot once held stays held by an earlier row, so each row
+    ends at the first slot from its home not taken by earlier rows ---
+    the sequential linear-probing layout.  On return each row's slot
+    holds its arrival id; returns the per-row displacement (probes - 1).
+    The rows' keys must be distinct and absent from the table.
+    """
+    disp = np.zeros(home.size, dtype=np.int64)
+    active = np.arange(home.size, dtype=np.int64)
+    while active.size:
+        cells = cells_of(active, home[active] + disp[active])
+        ids = (active + first_id).astype(np.uint64)
+        before = holder[cells]
+        np.minimum.at(holder, cells, ids)
+        after = holder[cells]
+        displaced = np.unique(before[(before != EMPTY_KEY)
+                                     & (after != before)])
+        active = np.concatenate([active[after != ids],
+                                 displaced.astype(np.int64) - first_id])
+        disp[active] += 1
+    return disp
+
+
 class ParallelHashTable:
     """Linear-probing hash table with integer keys and numeric values.
 
@@ -76,7 +128,10 @@ class ParallelHashTable:
                  base_address: int = 0, max_load: float = 0.7,
                  resizable: bool = True):
         n_slots = _next_power_of_two(max(4, int(capacity_hint / max_load) + 1))
-        self.keys = np.full(n_slots, EMPTY_KEY, dtype=np.uint64)
+        # PAR005 waiver: allocating the slots is free in the cost model;
+        # what Section 5.5 charges is the per-round :meth:`clear`.
+        self.keys = np.full(  # parlint: disable=PAR005
+            n_slots, EMPTY_KEY, dtype=np.uint64)
         self.values = np.zeros(n_slots, dtype=np.float64)
         self.size = 0
         self.max_load = max_load
@@ -153,6 +208,118 @@ class ParallelHashTable:
         if self.tracker is not None:
             self.tracker.add_atomic()
         return slot
+
+    def insert_many(self, keys, deltas=1.0, capture: bool = False
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`insert_or_add` for each of ``keys`` in order, in bulk.
+
+        Returns ``(slots, addresses, address_lens)``: the slot of every
+        record, and the simulated addresses each record's scalar call
+        would feed the cache (its home slot, preceded by every re-probe of
+        a growth it triggers), flattened per record.  Those addresses go
+        to the tracker unless ``capture`` is set, in which case they are
+        only returned, for a caller that splices them into a larger
+        stream.  Layout, values, size, growth points, probes, work,
+        atomics and the address stream all equal the scalar loop's: the
+        batch is split at each record where the table would grow, existing
+        keys are found by a vectorized probe, and new ones placed by
+        :func:`place_by_arrival`.
+        """
+        keys = np.asarray(keys, dtype=np.int64).astype(np.uint64)
+        deltas = np.broadcast_to(np.asarray(deltas, dtype=np.float64),
+                                 keys.shape)
+        n = keys.size
+        slots = np.empty(n, dtype=np.int64)
+        address_lens = np.zeros(n, dtype=np.int64)
+        pieces = []
+        tracker = self.tracker
+        start = 0
+        grew = False
+        while start < n:
+            seg = keys[start:]
+            mask = self.n_slots - 1
+            home = (hash64_many(seg) & np.uint64(mask)).astype(np.int64)
+            seg_slots, probes = self._find_many(seg, home)
+            absent = seg_slots < 0
+            _, first_index, copy_of = np.unique(
+                seg, return_index=True, return_inverse=True)
+            is_new = np.zeros(seg.size, dtype=bool)
+            is_new[first_index] = True
+            is_new &= absent
+            size_before = self.size + np.cumsum(is_new) - is_new
+            over = (size_before + 1) / self.n_slots > self.max_load
+            # A record checks the load bound once, before its probe.
+            over[0] &= not grew
+            stop = int(np.argmax(over)) if over.any() else seg.size
+            is_new[stop:] = False
+            new_rows = np.flatnonzero(is_new)
+            holder = np.where(self.keys == EMPTY_KEY, EMPTY_KEY,
+                              np.uint64(0))
+            disp = place_by_arrival(holder, home[new_rows],
+                                    lambda rows, at: at & mask, first_id=1)
+            new_slots = (home[new_rows] + disp) & mask
+            seg_slots[new_rows] = new_slots
+            probes[new_rows] = disp + 1
+            # Later copies of a new key find it where the first copy went.
+            first_row = first_index[copy_of]
+            copies = absent & ~is_new
+            seg_slots[copies] = seg_slots[first_row[copies]]
+            probes[copies] = probes[first_row[copies]]
+            seg_slots, probes = seg_slots[:stop], probes[:stop]
+            self.keys[new_slots] = seg[new_rows]
+            self.values[new_slots] = deltas[start + new_rows]
+            rest = np.ones(stop, dtype=bool)
+            rest[new_rows] = False
+            np.add.at(self.values, seg_slots[rest],
+                      deltas[start:start + stop][rest])
+            self.size += new_rows.size
+            slots[start:start + stop] = seg_slots
+            if tracker is not None:
+                address_lens[start:start + stop] += 1
+                total = int(probes.sum())
+                tracker.add_work_int(total)
+                tracker.add_probes(total)
+                tracker.add_atomic(stop)
+                addresses = self.base_address + home[:stop]
+                if capture:
+                    pieces.append(addresses)
+                else:
+                    tracker.access_sequence(addresses)
+            start += stop
+            grew = start < n
+            if grew:
+                if capture and tracker is not None:
+                    tracker.begin_access_capture()
+                    self._grow()
+                    grown = np.asarray(tracker.end_access_capture(),
+                                       dtype=np.int64)
+                    pieces.append(grown)
+                    address_lens[start] += grown.size
+                else:
+                    self._grow()
+        addresses = np.concatenate(pieces).astype(np.int64) if pieces \
+            else np.empty(0, dtype=np.int64)
+        return slots, addresses, address_lens
+
+    def _find_many(self, keys: np.ndarray, home: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized :meth:`_probe` for presence, charging nothing:
+        ``(slot or -1, probes)`` per key."""
+        slots = np.full(keys.size, -1, dtype=np.int64)
+        probes = np.ones(keys.size, dtype=np.int64)
+        if self.size == 0:
+            return slots, probes
+        mask = self.n_slots - 1
+        at = home.copy()
+        active = np.arange(keys.size, dtype=np.int64)
+        while active.size:
+            held = self.keys[at[active]]
+            hit = held == keys[active]
+            slots[active[hit]] = at[active[hit]]
+            active = active[~hit & (held != EMPTY_KEY)]
+            at[active] = (at[active] + 1) & mask
+            probes[active] += 1
+        return slots, probes
 
     def set(self, key: int, value: float) -> int:
         """Insert or overwrite; returns the slot index."""

@@ -122,41 +122,13 @@ def intersect_many(arrays, tracker: CostTracker | None = None):
     """Intersect several sorted arrays; cost ``O(min_i |a_i|)`` work.
 
     Implements the multi-table intersection bound of Section 3 by probing
-    the smallest array against the others.
-
-    2-D frontier form: when ``arrays`` is a sequence of *rows*, each itself
-    a sequence of sorted arrays, every row is intersected independently and
-    a list of result arrays is returned.  The total work charged is exactly
-    the sum of the per-row ``min + 1`` charges, i.e. what one call per row
-    would charge --- the form the batch peeling engine uses to rediscover
-    incident s-cliques for a whole peeled frontier at once.
+    the smallest array against the others.  The batch engines intersect
+    whole frontiers with :func:`intersect_segments` instead, charging the
+    same per-row ``min + 1`` totals.
     """
-    arrays = list(arrays)
+    arrays = [np.asarray(a) for a in arrays]
     if not arrays:
         raise ValueError("intersect_many requires at least one array")
-    if isinstance(arrays[0], (list, tuple)):
-        rows = [[np.asarray(a) for a in row] for row in arrays]
-        if any(not row for row in rows):
-            raise ValueError("intersect_many rows must be non-empty")
-        width = len(rows[0])
-        if all(len(row) == width for row in rows):
-            result = _intersect_rows_keyed(rows, width, tracker)
-            if result is not None:
-                return result
-        results = []
-        total_work = 0
-        for row in rows:
-            total_work += min(a.size for a in row) + 1
-            result = row[0]
-            for other in row[1:]:
-                if result.size == 0:
-                    break
-                result = np.intersect1d(result, other, assume_unique=True)
-            results.append(result)
-        if tracker is not None:
-            tracker.add_work_int(total_work)
-        return results
-    arrays = [np.asarray(a) for a in arrays]
     if tracker is not None:
         tracker.add_work(float(min(a.size for a in arrays)) + 1.0)
     result = arrays[0]
@@ -165,46 +137,6 @@ def intersect_many(arrays, tracker: CostTracker | None = None):
             break
         result = np.intersect1d(result, other, assume_unique=True)
     return result
-
-
-def _intersect_rows_keyed(rows, width: int, tracker) -> list | None:
-    """Intersect many rows of sorted non-negative arrays in one pass.
-
-    Encodes element ``x`` of row ``i`` as ``i * stride + x`` so each
-    column's concatenation is sorted and unique, then intersects columns
-    with C-level merges instead of one ``intersect1d`` per row.  Returns
-    None (caller falls back to the per-row loop) when elements can be
-    negative; charges exactly the per-row ``min + 1`` total.
-    """
-    n_rows = len(rows)
-    row_arange = np.arange(n_rows, dtype=np.int64)
-    columns = []
-    lengths = []
-    for j in range(width):
-        lens = np.fromiter((row[j].size for row in rows), dtype=np.int64,
-                           count=n_rows)
-        lengths.append(lens)
-        columns.append(np.concatenate([row[j] for row in rows])
-                       if int(lens.sum()) else np.empty(0, dtype=np.int64))
-    top = 0
-    for col in columns:
-        if col.size:
-            if int(col.min()) < 0:
-                return None
-            top = max(top, int(col.max()))
-    if tracker is not None:
-        tracker.add_work_int(
-            int(np.minimum.reduce(np.stack(lengths)).sum()) + n_rows)
-    stride = top + 1
-    keys = np.repeat(row_arange, lengths[0]) * stride + columns[0]
-    for j in range(1, width):
-        if keys.size == 0:
-            break
-        keys = np.intersect1d(
-            keys, np.repeat(row_arange, lengths[j]) * stride + columns[j],
-            assume_unique=True)
-    counts = np.bincount(keys // stride, minlength=n_rows)
-    return np.split(keys % stride, np.cumsum(counts)[:-1])
 
 
 def segment_gather(source, starts, lengths) -> np.ndarray:
@@ -217,9 +149,20 @@ def segment_gather(source, starts, lengths) -> np.ndarray:
     source = np.asarray(source)
     starts = np.asarray(starts, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.size == 0 or int(lengths.sum()) == 0:
+    total = int(lengths.sum()) if lengths.size else 0
+    if total == 0:
         return source[:0]
-    return source[np.repeat(starts, lengths) + segment_offsets(lengths)]
+    # Element k of segment i sits at ``starts[i] + (k - out_start[i])``.
+    shift = starts.copy()
+    shift[1:] -= np.cumsum(lengths[:-1])
+    return source[np.repeat(shift, lengths)
+                  + np.arange(total, dtype=np.int64)]
+
+
+#: Size ratio of the longer to the shorter side from which
+#: :func:`intersect_segments` searches instead of merging (the crossover
+#: measured on the batch peel and listing inputs of the benchmark graphs).
+SEARCH_RATIO = 4
 
 
 def intersect_segments(a_values, a_lens, b_values, b_lens,
@@ -233,9 +176,15 @@ def intersect_segments(a_values, a_lens, b_values, b_lens,
     way.  Charges exactly what one :func:`intersect_sorted` call per row
     would: ``min(|a_i|, |b_i|) + 1`` work each, no span, no rounds.
 
-    This is the flat-array form of :func:`intersect_many`'s row-keyed
-    2-D mode, used by the batch clique-listing engine to expand a whole
-    frontier level in one keyed merge instead of one Python call per row.
+    Row ``i``'s element ``x`` is keyed ``i * stride + x``, so both key
+    arrays are sorted and unique and one intersection serves every row.
+    When one side is at least :data:`SEARCH_RATIO` times longer, a
+    binary-search membership test of the shorter side finds it without
+    sorting; for comparable sizes the sort-based merge of
+    :func:`numpy.intersect1d` is faster (its accesses are sequential).
+    The batch engines expand a whole frontier level, or intersect the r
+    neighborhoods of a whole peeled round, this way instead of one Python
+    call per row.
     """
     a_values = np.asarray(a_values, dtype=np.int64)
     b_values = np.asarray(b_values, dtype=np.int64)
@@ -246,25 +195,30 @@ def intersect_segments(a_values, a_lens, b_values, b_lens,
     n_rows = a_lens.size
     if tracker is not None:
         tracker.add_work_int(int(np.minimum(a_lens, b_lens).sum()) + n_rows)
-    if n_rows == 0:
-        return np.empty(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    top = 0
-    for col in (a_values, b_values):
-        if col.size:
-            if int(col.min()) < 0:
-                return _intersect_segments_loop(a_values, a_lens,
-                                                b_values, b_lens)
-            top = max(top, int(col.max()))
-    stride = top + 1
-    if stride and n_rows > (2 ** 62) // stride:
+    if a_values.size == 0 or b_values.size == 0:
+        return np.empty(0, dtype=np.int64), np.zeros(n_rows, dtype=np.int64)
+    if int(a_values.min()) < 0 or int(b_values.min()) < 0:
+        return _intersect_segments_loop(a_values, a_lens, b_values, b_lens)
+    stride = max(int(a_values.max()), int(b_values.max())) + 1
+    if n_rows > (2 ** 62) // stride:
         # Row keys would overflow int64; fall back to the per-row loop.
         return _intersect_segments_loop(a_values, a_lens, b_values, b_lens)
-    row_ids = np.arange(n_rows, dtype=np.int64)
-    a_keys = np.repeat(row_ids, a_lens) * stride + a_values
-    b_keys = np.repeat(row_ids, b_lens) * stride + b_values
-    keys = np.intersect1d(a_keys, b_keys, assume_unique=True)
-    lengths = np.bincount(keys // stride, minlength=n_rows)
-    return keys % stride, lengths
+    if a_values.size > b_values.size:
+        a_values, a_lens, b_values, b_lens = b_values, b_lens, a_values, \
+            a_lens
+    row_base = np.arange(n_rows, dtype=np.int64) * stride
+    a_keys = np.repeat(row_base, a_lens)
+    a_keys += a_values
+    b_keys = np.repeat(row_base, b_lens)
+    b_keys += b_values
+    if b_keys.size < SEARCH_RATIO * a_keys.size:
+        keys = np.intersect1d(a_keys, b_keys, assume_unique=True)
+    else:
+        pos = np.searchsorted(b_keys, a_keys)
+        np.minimum(pos, b_keys.size - 1, out=pos)
+        keys = a_keys[b_keys[pos] == a_keys]
+    rows = keys // stride
+    return keys - rows * stride, np.bincount(rows, minlength=n_rows)
 
 
 def _intersect_segments_loop(a_values, a_lens, b_values, b_lens

@@ -969,6 +969,17 @@ class _EffectAnalyzer:
 
     # -- helpers ----------------------------------------------------------
 
+    def _module_callable(self, name: str,
+                         frame: _Frame) -> FunctionInfo | None:
+        """The project function a bare argument name denotes (a def of, or
+        a function imported into, the frame's module), or None."""
+        for qual in self._walker_for(frame)._resolve_scoped(frame.module,
+                                                            name):
+            fn = self.project.functions.get(qual)
+            if fn is not None and fn.class_name is None:
+                return fn
+        return None
+
     def _walker_for(self, frame: _Frame) -> _FunctionWalker:
         walker = self._walkers.get(frame.fn.qualname)
         if walker is None:

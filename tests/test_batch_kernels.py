@@ -24,7 +24,7 @@ from repro.machine.cache import AddressSpace, CacheSimulator
 from repro.parallel.atomics import ContentionMeter
 from repro.parallel.hashtable import EMPTY_KEY, hash64, hash64_many
 from repro.parallel.primitives import (interleave_segments, intersect_many,
-                                       segment_offsets)
+                                       intersect_segments, segment_offsets)
 from repro.parallel.runtime import CostTracker
 
 
@@ -448,10 +448,10 @@ class TestRecordMany:
                                       meter=ContentionMeter())
             agg.begin_round(25, 50)
             if batched:
-                sink = []
-                agg.record_many(cells, address_sink=sink)
-                assert len(sink) == cells.size
-                tracker.access_sequence(np.concatenate(sink))
+                addresses, lens = agg.record_many(cells, capture=True)
+                assert lens.size == cells.size
+                assert int(lens.sum()) == addresses.size
+                tracker.access_sequence(addresses)
             else:
                 for cell in cells:
                     agg.record(int(cell))
@@ -535,7 +535,33 @@ class TestSegmentPrimitives:
             interleave_segments(np.array([1]), [1], np.array([2]), [1, 0])
 
 
-class TestIntersectManyRows:
+def _flatten(segments):
+    lens = np.asarray([seg.size for seg in segments], dtype=np.int64)
+    values = np.concatenate(segments).astype(np.int64) if segments \
+        else np.empty(0, dtype=np.int64)
+    return values, lens
+
+
+def _per_row_intersect(a_rows, b_rows):
+    return [np.intersect1d(a, b, assume_unique=True)
+            for a, b in zip(a_rows, b_rows)]
+
+
+def _assert_rows_equal(values, lens, expected):
+    assert lens.tolist() == [row.size for row in expected]
+    want = np.concatenate(expected) if expected else np.empty(0)
+    assert values.tolist() == want.tolist()
+
+
+#: A sorted unique segment: small ids, so rows often share elements.
+_segment = st.lists(st.integers(0, 40), max_size=15).map(
+    lambda xs: np.unique(np.asarray(xs, dtype=np.int64)))
+
+
+class TestIntersectSegmentsRows:
+    """The flat segment intersection the batch engines chain over whole
+    rounds, against per-row intersections (and per-row charges)."""
+
     def test_matches_per_row_results_and_charge(self):
         rng = np.random.default_rng(9)
         rows = []
@@ -543,25 +569,90 @@ class TestIntersectManyRows:
             row = [np.unique(rng.choice(80, size=rng.integers(0, 25)))
                    for _ in range(3)]
             rows.append(row)
-        tracker_batch = CostTracker()
-        batch = intersect_many(rows, tracker_batch)
+        values, lens = _flatten([row[0] for row in rows])
+        for j in (1, 2):
+            other, other_lens = _flatten([row[j] for row in rows])
+            values, lens = intersect_segments(values, lens, other,
+                                              other_lens)
+        # rediscover_round's closed-form charge for the chained columns.
+        column_lens = np.array([[a.size for a in row] for row in rows])
+        batch_charge = int(column_lens.min(axis=1).sum()) + len(rows)
         tracker_loop = CostTracker()
         loop = [intersect_many(row, tracker_loop) for row in rows]
-        assert tracker_batch.total.work == tracker_loop.total.work
-        assert len(batch) == len(loop)
-        for got, want in zip(batch, loop):
-            assert np.array_equal(got, np.asarray(want))
+        assert batch_charge == tracker_loop.total.work
+        _assert_rows_equal(values, lens, loop)
 
     def test_negative_values_fall_back(self):
-        rows = [[np.array([-3, 1, 5]), np.array([-3, 5])]]
-        result = intersect_many(rows, CostTracker())
-        assert np.array_equal(result[0], np.array([-3, 5]))
+        a, a_lens = _flatten([np.array([-3, 1, 5])])
+        b, b_lens = _flatten([np.array([-3, 5])])
+        values, lens = intersect_segments(a, a_lens, b, b_lens,
+                                          CostTracker())
+        assert values.tolist() == [-3, 5]
+        assert lens.tolist() == [2]
 
-    def test_two_dim_charge_equals_one_dim(self):
+    def test_single_row_charge_equals_intersect_many(self):
         a = np.array([1, 4, 9])
         b = np.array([4, 9, 11, 20])
         t1, t2 = CostTracker(), CostTracker()
         one = intersect_many([a, b], t1)
-        two = intersect_many([[a, b]], t2)[0]
-        assert np.array_equal(one, two)
+        values, lens = intersect_segments(a, [a.size], b, [b.size], t2)
+        assert np.array_equal(one, values)
+        assert lens.tolist() == [one.size]
         assert t1.total.work == t2.total.work
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(_segment, _segment), max_size=12))
+    def test_matches_per_row_intersect1d(self, pairs):
+        a_rows = [a for a, _ in pairs]
+        b_rows = [b for _, b in pairs]
+        a, a_lens = _flatten(a_rows)
+        b, b_lens = _flatten(b_rows)
+        tracker = CostTracker()
+        values, lens = intersect_segments(a, a_lens, b, b_lens, tracker)
+        _assert_rows_equal(values, lens, _per_row_intersect(a_rows, b_rows))
+        assert tracker.total.work == sum(
+            min(x.size, y.size) + 1 for x, y in pairs)
+
+    @pytest.mark.parametrize("a_max, b_max", [(3, 60), (60, 3), (30, 30)])
+    def test_search_and_merge_paths(self, a_max, b_max):
+        # Lopsided sides take the binary search, balanced ones the merge.
+        rng = np.random.default_rng(a_max * 100 + b_max)
+        a_rows = [np.unique(rng.integers(0, 90, size=rng.integers(0, a_max)))
+                  for _ in range(60)]
+        b_rows = [np.unique(rng.integers(0, 90, size=rng.integers(0, b_max)))
+                  for _ in range(60)]
+        a, a_lens = _flatten(a_rows)
+        b, b_lens = _flatten(b_rows)
+        values, lens = intersect_segments(a, a_lens, b, b_lens)
+        _assert_rows_equal(values, lens, _per_row_intersect(a_rows, b_rows))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_segment, _segment, st.integers(-50, -1))
+    def test_negative_rows_match_per_row(self, a, b, shift):
+        a_rows = [a + shift, np.empty(0, dtype=np.int64), a]
+        b_rows = [b + shift, b, b]
+        a_flat, a_lens = _flatten(a_rows)
+        b_flat, b_lens = _flatten(b_rows)
+        values, lens = intersect_segments(a_flat, a_lens, b_flat, b_lens)
+        _assert_rows_equal(values, lens, _per_row_intersect(a_rows, b_rows))
+
+    def test_empty_segments_and_no_rows(self):
+        values, lens = intersect_segments([], [], [], [])
+        assert values.size == 0 and lens.size == 0
+        values, lens = intersect_segments([1, 2], [0, 2], [], [0, 0])
+        assert values.size == 0 and lens.tolist() == [0, 0]
+        values, lens = intersect_segments([], [0, 0, 0], [5], [0, 1, 0])
+        assert lens.tolist() == [0, 0, 0]
+
+    def test_stride_overflow_falls_back(self):
+        big = 2 ** 61
+        a_rows = [np.array([1, big]), np.array([big]), np.array([3, big])]
+        b_rows = [np.array([big]), np.array([2, big]), np.array([3])]
+        a, a_lens = _flatten(a_rows)
+        b, b_lens = _flatten(b_rows)
+        values, lens = intersect_segments(a, a_lens, b, b_lens)
+        _assert_rows_equal(values, lens, _per_row_intersect(a_rows, b_rows))
+
+    def test_mismatched_segment_counts(self):
+        with pytest.raises(ValueError):
+            intersect_segments([1], [1], [1], [1, 0])

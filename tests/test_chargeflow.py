@@ -88,10 +88,10 @@ class TestRealTree:
             "repro.cliques.batchlist", "repro.core.batchcore",
             "repro.core.batchpeel", "repro.core.tables",
             "repro.distributed.batchexchange",
-            "repro.distributed.batchpeel"]
+            "repro.distributed.batchpeel", "repro.parallel.hashtable"]
         for module in engine:
             # Top-level kernels plus opted-in "Class.method" ones (the only
-            # kind repro.core.tables declares).
+            # kind repro.core.tables and repro.parallel.hashtable declare).
             kernels = parity_kernels(project, summaries, module, entries)
             assert kernels, module.name
             for fn in kernels:

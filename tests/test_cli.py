@@ -81,6 +81,11 @@ class TestOneLineErrors:
         assert "need 1 <= r < s" in self._error(
             ["decompose", "--input", graph_file, "--r", "3", "--s", "2"])
 
+    def test_decompose_zero_levels(self, graph_file):
+        assert "levels" in self._error(
+            ["decompose", "--input", graph_file, "--r", "2", "--s", "3",
+             "--levels", "0"])
+
     @pytest.mark.parametrize("command", [
         ["shard", "--r", "2", "--s", "3"],
         ["profile", "--r", "2", "--s", "3"],

@@ -63,6 +63,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="threads"):
             NucleusConfig(threads=threads).validated(10, 2, 3)
 
+    @pytest.mark.parametrize("levels", [0, -1])
+    def test_levels_must_be_positive(self, levels):
+        with pytest.raises(ValueError, match="levels"):
+            NucleusConfig(levels=levels).validated(10, 2, 3)
+
     def test_levels_clamped_to_r(self):
         cfg = NucleusConfig(levels=3).validated(10, 2, 3)
         assert cfg.levels == 2

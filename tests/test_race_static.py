@@ -123,6 +123,22 @@ class TestMutationGates:
         # The other fixtures are untouched.
         assert ("PAR009", "racy.py") in rule_file_set(result)
 
+    def test_module_callback_argument_is_followed(self):
+        # The racy write now happens in a module-level function handed to
+        # a helper by name, with the slot a module constant: the walk
+        # must follow the callback (and not trip over the constant).
+        path = (FIXTURES / "racy.py").resolve()
+        source = path.read_text(encoding="utf-8")
+        call = "_bump(total, 0, float(values[t]))"
+        assert call in source
+        source = source.replace(
+            call, "_apply(_bump, total, SLOT, float(values[t]))")
+        source += ("\n\nSLOT = 0\n\n\ndef _apply(fn, acc, slot, value):\n"
+                   "    fn(acc, slot, value)\n")
+        result = analyze(FIXTURES, overlay={str(path): source},
+                         tests_dir=STAMPS)
+        assert ("PAR009", "racy.py") in rule_file_set(result)
+
 
 class TestRealTree:
     def test_src_regions_all_covered(self):
