@@ -330,8 +330,7 @@ class HashTableAggregator:
         if self.tracker is not None and self.tracker.race_detector is not None:
             for cell in cells.tolist():
                 self._log_claim(cell)
-        _, addresses, lens = self._table.insert_many(cells, 0.0,
-                                                     capture=capture)
+        addresses, lens = self._table.insert_many(cells, capture=capture)
         return (addresses, lens) if capture else None
 
     def finish_round(self) -> np.ndarray:

@@ -209,27 +209,25 @@ class ParallelHashTable:
             self.tracker.add_atomic()
         return slot
 
-    def insert_many(self, keys, deltas=1.0, capture: bool = False
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`insert_or_add` for each of ``keys`` in order, in bulk.
+    def insert_many(self, keys, capture: bool = False
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """``insert_or_add(key, 0.0)`` for each of ``keys`` in order, in bulk.
 
-        Returns ``(slots, addresses, address_lens)``: the slot of every
-        record, and the simulated addresses each record's scalar call
-        would feed the cache (its home slot, preceded by every re-probe of
-        a growth it triggers), flattened per record.  Those addresses go
-        to the tracker unless ``capture`` is set, in which case they are
-        only returned, for a caller that splices them into a larger
-        stream.  Layout, values, size, growth points, probes, work,
+        New keys store 0.0 and present keys keep their value: the
+        membership insert the hash aggregator makes.  Returns
+        ``(addresses, address_lens)``: the simulated addresses each
+        record's scalar call would feed the cache (its home slot, preceded
+        by every re-probe of a growth it triggers), flattened per record.
+        Those addresses go to the tracker unless ``capture`` is set, in
+        which case they are only returned, for a caller that splices them
+        into a larger stream.  Layout, size, growth points, probes, work,
         atomics and the address stream all equal the scalar loop's: the
         batch is split at each record where the table would grow, existing
         keys are found by a vectorized probe, and new ones placed by
         :func:`place_by_arrival`.
         """
         keys = np.asarray(keys, dtype=np.int64).astype(np.uint64)
-        deltas = np.broadcast_to(np.asarray(deltas, dtype=np.float64),
-                                 keys.shape)
         n = keys.size
-        slots = np.empty(n, dtype=np.int64)
         address_lens = np.zeros(n, dtype=np.int64)
         pieces = []
         tracker = self.tracker
@@ -239,8 +237,8 @@ class ParallelHashTable:
             seg = keys[start:]
             mask = self.n_slots - 1
             home = (hash64_many(seg) & np.uint64(mask)).astype(np.int64)
-            seg_slots, probes = self._find_many(seg, home)
-            absent = seg_slots < 0
+            found_at, probes = self._find_many(seg, home)
+            absent = found_at < 0
             _, first_index, copy_of = np.unique(
                 seg, return_index=True, return_inverse=True)
             is_new = np.zeros(seg.size, dtype=bool)
@@ -258,22 +256,14 @@ class ParallelHashTable:
             disp = place_by_arrival(holder, home[new_rows],
                                     lambda rows, at: at & mask, first_id=1)
             new_slots = (home[new_rows] + disp) & mask
-            seg_slots[new_rows] = new_slots
             probes[new_rows] = disp + 1
-            # Later copies of a new key find it where the first copy went.
-            first_row = first_index[copy_of]
+            # Later copies of a new key find it after the first copy's probes.
             copies = absent & ~is_new
-            seg_slots[copies] = seg_slots[first_row[copies]]
-            probes[copies] = probes[first_row[copies]]
-            seg_slots, probes = seg_slots[:stop], probes[:stop]
+            probes[copies] = probes[first_index[copy_of[copies]]]
+            probes = probes[:stop]
             self.keys[new_slots] = seg[new_rows]
-            self.values[new_slots] = deltas[start + new_rows]
-            rest = np.ones(stop, dtype=bool)
-            rest[new_rows] = False
-            np.add.at(self.values, seg_slots[rest],
-                      deltas[start:start + stop][rest])
+            self.values[new_slots] = 0.0
             self.size += new_rows.size
-            slots[start:start + stop] = seg_slots
             if tracker is not None:
                 address_lens[start:start + stop] += 1
                 total = int(probes.sum())
@@ -299,7 +289,7 @@ class ParallelHashTable:
                     self._grow()
         addresses = np.concatenate(pieces).astype(np.int64) if pieces \
             else np.empty(0, dtype=np.int64)
-        return slots, addresses, address_lens
+        return addresses, address_lens
 
     def _find_many(self, keys: np.ndarray, home: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:

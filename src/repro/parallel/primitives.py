@@ -159,12 +159,6 @@ def segment_gather(source, starts, lengths) -> np.ndarray:
                   + np.arange(total, dtype=np.int64)]
 
 
-#: Size ratio of the longer to the shorter side from which
-#: :func:`intersect_segments` searches instead of merging (the crossover
-#: measured on the batch peel and listing inputs of the benchmark graphs).
-SEARCH_RATIO = 4
-
-
 def intersect_segments(a_values, a_lens, b_values, b_lens,
                        tracker: CostTracker | None = None
                        ) -> tuple[np.ndarray, np.ndarray]:
@@ -177,14 +171,10 @@ def intersect_segments(a_values, a_lens, b_values, b_lens,
     would: ``min(|a_i|, |b_i|) + 1`` work each, no span, no rounds.
 
     Row ``i``'s element ``x`` is keyed ``i * stride + x``, so both key
-    arrays are sorted and unique and one intersection serves every row.
-    When one side is at least :data:`SEARCH_RATIO` times longer, a
-    binary-search membership test of the shorter side finds it without
-    sorting; for comparable sizes the sort-based merge of
-    :func:`numpy.intersect1d` is faster (its accesses are sequential).
-    The batch engines expand a whole frontier level, or intersect the r
-    neighborhoods of a whole peeled round, this way instead of one Python
-    call per row.
+    arrays are sorted and unique and one :func:`numpy.intersect1d` merge
+    serves every row.  The batch engines expand a whole frontier level, or
+    intersect the r neighborhoods of a whole peeled round, this way instead
+    of one Python call per row.
     """
     a_values = np.asarray(a_values, dtype=np.int64)
     b_values = np.asarray(b_values, dtype=np.int64)
@@ -203,20 +193,12 @@ def intersect_segments(a_values, a_lens, b_values, b_lens,
     if n_rows > (2 ** 62) // stride:
         # Row keys would overflow int64; fall back to the per-row loop.
         return _intersect_segments_loop(a_values, a_lens, b_values, b_lens)
-    if a_values.size > b_values.size:
-        a_values, a_lens, b_values, b_lens = b_values, b_lens, a_values, \
-            a_lens
     row_base = np.arange(n_rows, dtype=np.int64) * stride
     a_keys = np.repeat(row_base, a_lens)
     a_keys += a_values
     b_keys = np.repeat(row_base, b_lens)
     b_keys += b_values
-    if b_keys.size < SEARCH_RATIO * a_keys.size:
-        keys = np.intersect1d(a_keys, b_keys, assume_unique=True)
-    else:
-        pos = np.searchsorted(b_keys, a_keys)
-        np.minimum(pos, b_keys.size - 1, out=pos)
-        keys = a_keys[b_keys[pos] == a_keys]
+    keys = np.intersect1d(a_keys, b_keys, assume_unique=True)
     rows = keys // stride
     return keys - rows * stride, np.bincount(rows, minlength=n_rows)
 

@@ -7,6 +7,8 @@ alongside the engine (clique-table probe overflow, simple-array
 aggregator growth).
 """
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,10 @@ from repro.cliques.listing import collect_cliques
 from repro.cliques.orient import orient
 from repro.core.aggregation import (HashTableAggregator, ListBufferAggregator,
                                     SimpleArrayAggregator)
+from repro.core.batchpeel import rediscover_round
+from repro.core.decomp import _PEELED, _PEELING, _rediscover
 from repro.core.tables import CliqueTable
+from repro.graph.contraction import WorkingGraph
 from repro.graph.generators import planted_partition
 from repro.machine.cache import AddressSpace, CacheSimulator
 from repro.parallel.atomics import ContentionMeter
@@ -562,7 +567,9 @@ class TestIntersectSegmentsRows:
     """The flat segment intersection the batch engines chain over whole
     rounds, against per-row intersections (and per-row charges)."""
 
-    def test_matches_per_row_results_and_charge(self):
+    def test_matches_per_row_results(self):
+        # The three-column chain rediscover_round runs; its charge is
+        # checked against the scalar loop in TestRediscoverRoundCharge.
         rng = np.random.default_rng(9)
         rows = []
         for _ in range(40):
@@ -574,13 +581,8 @@ class TestIntersectSegmentsRows:
             other, other_lens = _flatten([row[j] for row in rows])
             values, lens = intersect_segments(values, lens, other,
                                               other_lens)
-        # rediscover_round's closed-form charge for the chained columns.
-        column_lens = np.array([[a.size for a in row] for row in rows])
-        batch_charge = int(column_lens.min(axis=1).sum()) + len(rows)
-        tracker_loop = CostTracker()
-        loop = [intersect_many(row, tracker_loop) for row in rows]
-        assert batch_charge == tracker_loop.total.work
-        _assert_rows_equal(values, lens, loop)
+        _assert_rows_equal(values, lens, [intersect_many(row)
+                                          for row in rows])
 
     def test_negative_values_fall_back(self):
         a, a_lens = _flatten([np.array([-3, 1, 5])])
@@ -613,19 +615,6 @@ class TestIntersectSegmentsRows:
         assert tracker.total.work == sum(
             min(x.size, y.size) + 1 for x, y in pairs)
 
-    @pytest.mark.parametrize("a_max, b_max", [(3, 60), (60, 3), (30, 30)])
-    def test_search_and_merge_paths(self, a_max, b_max):
-        # Lopsided sides take the binary search, balanced ones the merge.
-        rng = np.random.default_rng(a_max * 100 + b_max)
-        a_rows = [np.unique(rng.integers(0, 90, size=rng.integers(0, a_max)))
-                  for _ in range(60)]
-        b_rows = [np.unique(rng.integers(0, 90, size=rng.integers(0, b_max)))
-                  for _ in range(60)]
-        a, a_lens = _flatten(a_rows)
-        b, b_lens = _flatten(b_rows)
-        values, lens = intersect_segments(a, a_lens, b, b_lens)
-        _assert_rows_equal(values, lens, _per_row_intersect(a_rows, b_rows))
-
     @settings(max_examples=60, deadline=None)
     @given(_segment, _segment, st.integers(-50, -1))
     def test_negative_rows_match_per_row(self, a, b, shift):
@@ -656,3 +645,55 @@ class TestIntersectSegmentsRows:
     def test_mismatched_segment_counts(self):
         with pytest.raises(ValueError):
             intersect_segments([1], [1], [1], [1, 0])
+
+
+class TestRediscoverRoundCharge:
+    """``rediscover_round`` against the scalar loop it replaces: a
+    ``decode`` plus a ``_rediscover`` per peeled cell.  Same updates, and
+    the same work and probes, with the closed-form intersection charge
+    included."""
+
+    @pytest.mark.parametrize("r, s", [(1, 2), (2, 3), (2, 4), (3, 4)])
+    @pytest.mark.parametrize("fractional", [True, False])
+    def test_matches_scalar_rediscover(self, r, s, fractional):
+        graph = planted_partition(40, 4, 0.5, 0.03, seed=5)
+        dg, _ = orient(graph, "degeneracy")
+        cliques = np.sort(collect_cliques(dg, r), axis=1)
+        tracker = CostTracker()
+        table = CliqueTable(graph.n, r, cliques, tracker=tracker,
+                            address_space=AddressSpace())
+        working = WorkingGraph(graph)
+        cells = table.lookup_many(cliques)[0]
+        rng = np.random.default_rng(10 * r + s)
+        order = cells[rng.permutation(cells.size)]
+        n_peeled, n_peel = cells.size // 5, cells.size // 4
+        status = np.zeros(table.total_cells, dtype=np.int8)
+        status[order[:n_peeled]] = _PEELED
+        peel_cells = np.sort(order[n_peeled:n_peeled + n_peel])
+        status[peel_cells] = _PEELING
+
+        totals = tracker.total
+        before = (totals.work, totals.table_probes)
+        updates = []
+        for cell in peel_cells:
+            clique = table.decode(int(cell))
+            _rediscover(table, dg, working, clique, r, s, status,
+                        fractional,
+                        lambda alive, share: updates.append(
+                            (tuple(alive), share)),
+                        tracker)
+        scalar = (totals.work, totals.table_probes)
+        comb_cols = np.asarray(list(combinations(range(s), r)),
+                               dtype=np.int64)
+        classified = rediscover_round(peel_cells, comb_cols, dg, working,
+                                      table, status, fractional, False, r,
+                                      s, tracker)
+        batch = (totals.work, totals.table_probes)
+
+        assert scalar[0] - before[0] == batch[0] - scalar[0]
+        assert scalar[1] - before[1] == batch[1] - scalar[1]
+        assert updates, "the round should apply some updates"
+        rows = np.unique(classified.update_row_of)
+        assert [(tuple(int(c) for c in classified.update_cells[
+                    classified.update_row_of == row]),
+                 int(classified.row_share[row])) for row in rows] == updates

@@ -131,10 +131,11 @@ def test_empty_key_reserved():
     assert (t.keys == EMPTY_KEY).all()
 
 
-def _insert_run(keys, deltas, bulk, *, hint=4, capture=False, preload=(),
+def _insert_run(keys, bulk, *, hint=4, capture=False, preload=(),
                 resizable=True):
-    """Insert ``keys`` one by one or with ``insert_many`` on a fresh
-    cache-simulated table; returns everything the two must agree on."""
+    """Insert ``keys`` one by one with ``insert_or_add(key, 0.0)`` or with
+    ``insert_many`` on a fresh cache-simulated table; returns everything
+    the two must agree on."""
     tracker = CostTracker()
     tracker.cache = CacheSimulator(sample=1)
     table = ParallelHashTable(hint, tracker=tracker, base_address=1000,
@@ -143,62 +144,60 @@ def _insert_run(keys, deltas, bulk, *, hint=4, capture=False, preload=(),
         table.insert_or_add(int(key), 1.0)
     captured = None
     if bulk:
-        slots, addresses, lens = table.insert_many(keys, deltas,
-                                                   capture=capture)
-        slots = slots.tolist()
+        addresses, lens = table.insert_many(keys, capture=capture)
         if capture:
             captured = (addresses.tolist(), lens.tolist())
     else:
-        slots, addresses, lens = [], [], []
-        for key, delta in zip(keys, deltas):
+        addresses, lens = [], []
+        for key in keys:
             if capture:
                 tracker.begin_access_capture()
-            slots.append(table.insert_or_add(int(key), float(delta)))
+            table.insert_or_add(int(key), 0.0)
             if capture:
                 record = tracker.end_access_capture()
                 addresses += record
                 lens.append(len(record))
         if capture:
             captured = (addresses, lens)
-    return (slots, table.keys.tolist(), table.values.tolist(), table.size,
+    return (table.keys.tolist(), table.values.tolist(), table.size,
             table.n_slots, tracker.total.work, tracker.total.table_probes,
             tracker.total.atomic_ops, tracker.cache.accesses,
             tracker.cache.misses, captured)
 
 
 class TestInsertMany:
-    """``insert_many`` against a loop of ``insert_or_add`` calls: keys,
-    values, slots, probes, work, atomics and the address stream."""
+    """``insert_many`` against a loop of ``insert_or_add(key, 0.0)``
+    calls: keys, values, size, probes, work, atomics and the address
+    stream."""
 
     @pytest.mark.parametrize("capture", [False, True])
     def test_batch_crossing_grow_threshold(self, capture):
         keys = np.arange(0, 300, 7)  # 43 keys: several doublings from 8
-        deltas = np.linspace(0.5, 3.0, keys.size)
-        scalar = _insert_run(keys, deltas, False, capture=capture)
-        bulk = _insert_run(keys, deltas, True, capture=capture)
+        scalar = _insert_run(keys, False, capture=capture)
+        bulk = _insert_run(keys, True, capture=capture)
         assert bulk == scalar
-        assert scalar[4] > ParallelHashTable(4).n_slots
+        assert scalar[3] > ParallelHashTable(4).n_slots
 
     def test_duplicates_and_preloaded_keys(self):
         keys = np.array([5, 9, 5, 300, 9, 9, 41, 300, 5])
-        deltas = np.arange(1.0, 10.0)
         for preload in ((), (9, 41), (1, 2, 3, 41, 77)):
-            assert _insert_run(keys, deltas, True, preload=preload) == \
-                _insert_run(keys, deltas, False, preload=preload)
+            assert _insert_run(keys, True, preload=preload) == \
+                _insert_run(keys, False, preload=preload)
 
     def test_captured_segments_per_record(self):
         keys = np.arange(40)
-        _, addresses, lens = ParallelHashTable(
-            4, tracker=CostTracker()).insert_many(keys, 1.0, capture=True)
+        addresses, lens = ParallelHashTable(
+            4, tracker=CostTracker()).insert_many(keys, capture=True)
         assert lens.size == keys.size and int(lens.sum()) == addresses.size
         assert (lens >= 1).all() and (lens > 1).any()  # growth re-probes
 
     def test_untracked_table_returns_no_addresses(self):
         table = ParallelHashTable(4)
-        slots, addresses, lens = table.insert_many([3, 4, 3], [1.0, 2.0, 3.0])
+        table.insert_or_add(4, 2.0)
+        addresses, lens = table.insert_many([3, 4, 3])
         assert addresses.size == 0 and not lens.any()
-        assert table.get(3) == 4.0 and table.get(4) == 2.0
-        assert slots[0] == slots[2]
+        assert table.get(3) == 0.0 and table.get(4) == 2.0
+        assert len(table) == 2
 
     def test_frozen_slab_stops_where_the_loop_does(self):
         keys = np.arange(20)
@@ -209,7 +208,7 @@ class TestInsertMany:
                     table.insert_many(keys)
                 else:
                     for key in keys:
-                        table.insert_or_add(int(key))
+                        table.insert_or_add(int(key), 0.0)
             assert len(table) == 5
 
     @settings(max_examples=60, deadline=None)
@@ -218,8 +217,7 @@ class TestInsertMany:
            st.integers(1, 40), st.booleans())
     def test_matches_scalar_loop(self, keys, preload, hint, capture):
         keys = np.asarray(keys, dtype=np.int64)
-        deltas = np.arange(keys.size, dtype=np.float64) * 0.25 - 3.0
-        assert _insert_run(keys, deltas, True, hint=hint, capture=capture,
+        assert _insert_run(keys, True, hint=hint, capture=capture,
                            preload=preload) == \
-            _insert_run(keys, deltas, False, hint=hint, capture=capture,
+            _insert_run(keys, False, hint=hint, capture=capture,
                         preload=preload)
